@@ -18,8 +18,8 @@ from .frame_space import (
     FrameConfig,
     enumerate_weight_class,
     likelihood_rows,
+    output_digits,
     state_pmf,
-    weight,
 )
 from .strategy import build_weighted_graph, decompose_paths, induced_input_pmf
 
@@ -94,26 +94,13 @@ def _mixture_entropy_blocked(channel, F, xs, wts):
     return h
 
 
-def _class_uniform_weights(config):
-    """Each state's mass spread uniformly over its weight class, indexed by symbol."""
-    F = config.F
-    pmf_s = state_pmf(config)
-    wts = np.empty(1 << F)
-    for x in range(1 << F):
-        s = weight(x)
-        wts[x] = pmf_s[s] / comb(F, s)
-    return wts
-
-
 def c_xy(channel, config):
     """Largest I(X;Y) over input laws with the binomial weight-class marginals.
 
-    Attained by spreading each state's mass uniformly over its weight class.
+    Attained by spreading each state's mass uniformly over its weight class,
+    which makes the F bits i.i.d. Bernoulli(a); so it equals the outer bound.
     """
-    F = config.F
-    wts = _class_uniform_weights(config)
-    xs = np.arange(1 << F, dtype=np.int64)
-    return _mixture_entropy_blocked(channel, F, xs, wts) - _mean_noise_entropy(channel, config)
+    return outer_bound(channel, config)
 
 
 def _entropy_of(vec):
@@ -121,17 +108,85 @@ def _entropy_of(vec):
     return -float(np.sum(vec * np.log2(vec)))
 
 
-def mutual_info_TY(channel, config, sset, method="constructed"):
-    """Information rates of a strategy set, with the cascade split checked.
+def _is_staircase_orbit(sset):
+    """Whether `_orbit_rates` applies to the set, by exact integer and equality tests.
+
+    Three tests, no tolerances: the pmf is flat, every strategy is a
+    maximal chain (each representative contains the one below it, which for
+    weight-graded representatives is `is_minimal`), and every weight-s
+    symbol occurs exactly L / C(F, s) times. Then each strategy is a position
+    permutation of the staircase and the induced input law is i.i.d.
+    Bernoulli(a).
+    """
+    pmf = np.asarray(sset.pmf)
+    if np.any(pmf != pmf[0]):
+        return False
+    reps = np.array([m.reps for m in sset.multisymbols], dtype=np.int64)
+    if np.any(reps[:, :-1] & ~reps[:, 1:]):
+        return False
+    n_t = len(reps)
+    for s in range(sset.F + 1):
+        size = comb(sset.F, s)
+        _, counts = np.unique(reps[:, s], return_counts=True)
+        if len(counts) != size or np.any(counts * size != n_t):
+            return False
+    return True
+
+
+def _type_ranks(F, J, cols):
+    """Index of each output's letter-count composition among the C(F+J-1, J-1).
+
+    Stars and bars: bar k of the composition (n_0, ..., n_{J-1}) sits at
+    n_0 + ... + n_{k-1} + k - 1, and the combinatorial number system ranks
+    the J-1 bar positions.
+    """
+    digits = output_digits(F, J, cols)
+    ranks = np.zeros(len(cols), dtype=np.int64)
+    for k in range(1, J):
+        binom = np.array([comb(n, k) for n in range(F + J - 1)], dtype=np.int64)
+        ranks += binom[(digits < k).sum(axis=1) + k - 1]
+    return ranks
+
+
+def _orbit_rates(channel, config):
+    """(i_ty, i_xy, i_xy_given_t) of a staircase-orbit set from its F+1 staircase rows.
+
+    Every strategy is a position permutation of the staircase, so H(Y|T=t)
+    is the staircase output entropy for every t. The induced law is i.i.d.
+    Bernoulli(a), so H(Y) has the closed form F H(u); it is also rebuilt
+    from the staircase law, since S_F acts transitively on each output
+    composition and P(y) is the mean of P_stair over y's composition. The
+    split check compares those two values of H(Y).
+    """
+    F, J = config.F, channel.J
+    pmf_s = state_pmf(config)
+    stair = [(1 << s) - 1 for s in range(F + 1)]
+    n_types = comb(F + J - 1, J - 1)
+    type_mass = np.zeros(n_types)
+    type_size = np.zeros(n_types, dtype=np.int64)
+    h_stair = 0.0
+    total_cols = J**F
+    for start in range(0, total_cols, BLOCK_COLS):
+        cols = np.arange(start, min(start + BLOCK_COLS, total_cols), dtype=np.int64)
+        p_stair = pmf_s @ likelihood_rows(channel, F, stair, cols)
+        h_stair += _entropy_of(p_stair)
+        ranks = _type_ranks(F, J, cols)
+        type_mass += np.bincount(ranks, weights=p_stair, minlength=n_types)
+        type_size += np.bincount(ranks, minlength=n_types)
+    hit = type_mass > 0
+    h_types = -float(np.sum(type_mass[hit] * np.log2(type_mass[hit] / type_size[hit])))
+    noise = _mean_noise_entropy(channel, config)
+    return h_types - h_stair, outer_bound(channel, config), h_stair - noise
+
+
+def _enumerated_rates(channel, config, sset):
+    """(i_ty, i_xy, i_xy_given_t) of any strategy set, by enumerating every strategy row.
 
     H(Y) and the per-strategy output entropies come from one blocked pass
-    over the output space. I(X;Y) is recomputed independently from the
-    induced input law, and the split I(T;Y) = I(X;Y) - I(X;Y|T) must close
-    numerically or the call fails.
+    over the output space; I(X;Y) is recomputed from the induced input law,
+    which regroups the same mixture by symbol instead of by strategy.
     """
     F = config.F
-    if sset.F != F:
-        raise ValueError("strategy set and frame config disagree on F")
     J = channel.J
     pmf_s = state_pmf(config)
     pmf_t = np.asarray(sset.pmf)
@@ -166,29 +221,39 @@ def mutual_info_TY(channel, config, sset, method="constructed"):
     i_ty = h_y - float(pmf_t @ h_t)
     i_xy_given_t = float(pmf_t @ h_t) - noise
 
-    # the induced-law route regroups the same mixture by symbol instead of
-    # by strategy, so the split check below is a real numerical comparison
     p_x = induced_input_pmf(sset, config)
     if cached:
         i_xy = _entropy_of(p_x[used] @ full_rows) - noise
     else:
         support = np.flatnonzero(p_x > 0)
         i_xy = _mixture_entropy_blocked(channel, F, support, p_x[support]) - noise
+    return i_ty, i_xy, i_xy_given_t
 
-    if cached and len(used) == (1 << F):
-        wts = _class_uniform_weights(config)
-        c_xy_val = _entropy_of(wts @ full_rows) - noise
+
+def mutual_info_TY(channel, config, sset, method="constructed"):
+    """Information rates of a strategy set, with the cascade split checked.
+
+    Sets that pass `_is_staircase_orbit` (the constructed set and the
+    permutation orbit among them) are evaluated from the F+1 staircase rows;
+    any other set enumerates every strategy. Either way the split
+    I(T;Y) = I(X;Y) - I(X;Y|T) compares two independently computed values
+    and must close numerically or the call fails.
+    """
+    if sset.F != config.F:
+        raise ValueError("strategy set and frame config disagree on F")
+    if _is_staircase_orbit(sset):
+        i_ty, i_xy, i_xy_given_t = _orbit_rates(channel, config)
     else:
-        c_xy_val = c_xy(channel, config)
-
+        i_ty, i_xy, i_xy_given_t = _enumerated_rates(channel, config, sset)
     if abs(i_ty - (i_xy - i_xy_given_t)) > DECOMPOSITION_TOL:
         raise RuntimeError("information split I(T;Y) = I(X;Y) - I(X;Y|T) failed to close")
+    outer = outer_bound(channel, config)
     return CapacityReport(
         i_ty=i_ty,
         i_xy=i_xy,
         i_xy_given_t=i_xy_given_t,
-        c_xy=c_xy_val,
-        outer_bound=outer_bound(channel, config),
+        c_xy=outer,
+        outer_bound=outer,
         method=method,
     )
 
@@ -225,10 +290,22 @@ def strategy_space_size(F):
     return n
 
 
+class OracleTooLarge(ValueError):
+    """The all-maps strategy table would exceed the enumeration ceiling."""
+
+
 def oracle_entry_limit():
     """Enumeration ceiling for the brute-force oracle, env-var overridable."""
     raw = os.environ.get(ORACLE_ENV_VAR)
-    return int(raw) if raw else ORACLE_MAX_ENTRIES
+    if not raw:
+        return ORACLE_MAX_ENTRIES
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = None
+    if limit is None or limit < 0:
+        raise ValueError(f"{ORACLE_ENV_VAR} must be a nonnegative integer, got {raw!r}")
+    return limit
 
 
 def equivalent_channel_matrix(channel, config, max_entries=None):
@@ -240,7 +317,7 @@ def equivalent_channel_matrix(channel, config, max_entries=None):
     n_t = strategy_space_size(F)
     n_y = J**F
     if n_t * n_y > max_entries:
-        raise ValueError(
+        raise OracleTooLarge(
             f"strategy table needs {n_t} x {n_y} entries, over the limit {max_entries}; "
             f"raise {ORACLE_ENV_VAR} only if memory allows"
         )
@@ -319,7 +396,7 @@ def sweep_point(preset, p, a, F, oracle_max_entries=None):
     report = secondary_capacity(ch, cfg)
     try:
         oracle = oracle_capacity(ch, cfg, max_entries=oracle_max_entries)
-    except ValueError:
+    except OracleTooLarge:
         oracle = None
     return SweepRow(
         F=F,

@@ -91,7 +91,8 @@ def _cmd_capacity(args):
 def _cmd_oracle(args):
     ch = channel_preset(args.preset, args.p)
     cfg = FrameConfig(args.F, args.a)
-    result = blahut_arimoto(equivalent_channel_matrix(ch, cfg))
+    W = equivalent_channel_matrix(ch, cfg, max_entries=args.oracle_max_entries)
+    result = blahut_arimoto(W)
     print(f"preset {args.preset}")
     print(f"F {args.F}")
     print(f"a {fmt(args.a)}")
@@ -115,13 +116,13 @@ def _cmd_simulate(args):
     return 0
 
 
-def sweep_rows(grid):
+def sweep_rows(grid, oracle_max_entries=None):
     """Evaluate a SweepSpec; rows come back sorted by (F, a, p)."""
     rows = []
     for F in sorted(grid.f_values):
         for a in sorted(grid.a_values):
             for p in sorted(grid.p_values):
-                rows.append(sweep_point(grid.preset, p, a, F))
+                rows.append(sweep_point(grid.preset, p, a, F, oracle_max_entries))
     return rows
 
 
@@ -156,7 +157,8 @@ def _cmd_sweep(args):
         f_values=parse_f_values(args.F),
         normalize=args.per_packet,
     )
-    text = format_sweep_csv(sweep_rows(grid), normalize=grid.normalize)
+    rows = sweep_rows(grid, oracle_max_entries=args.oracle_max_entries)
+    text = format_sweep_csv(rows, normalize=grid.normalize)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -165,13 +167,13 @@ def _cmd_sweep(args):
     return 0
 
 
-def build_parser():
+def build_parser(oracle_limit):
     parser = argparse.ArgumentParser(
         prog="reorderchan",
         description="Capacity and strategy construction for the packet-reordering channel.",
         epilog=(
             f"The brute-force oracle refuses strategy tables over "
-            f"{oracle_entry_limit()} entries; set {ORACLE_ENV_VAR} to override, "
+            f"{oracle_limit} entries; set {ORACLE_ENV_VAR} to override, "
             "knowing that large tables can exhaust memory."
         ),
     )
@@ -216,16 +218,25 @@ def build_parser():
 
 def run_cli(argv=None):
     """Parse argv and run one subcommand; returns the process exit code."""
-    parser = build_parser()
+    try:
+        oracle_limit = oracle_entry_limit()
+    except ValueError as exc:
+        return _fail(exc)
+    parser = build_parser(oracle_limit)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
+    args.oracle_max_entries = oracle_limit
     try:
         return args.func(args)
     except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc)
+
+
+def _fail(exc):
+    print(f"error: {exc}", file=sys.stderr)
+    return 1
 
 
 def main():

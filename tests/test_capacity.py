@@ -6,17 +6,22 @@ import pytest
 import reference as ref
 from reorderchan import (
     FrameConfig,
+    Multisymbol,
+    OracleTooLarge,
     StrategySet,
     basic_multisymbol,
     binary_entropy,
     blahut_arimoto,
     build_weighted_graph,
     c_xy,
+    channel_from_config,
     channel_preset,
     decompose_paths,
     equivalent_channel_matrix,
     errorless_capacity,
     full_permutation_set,
+    induced_input_pmf,
+    is_minimal,
     mutual_info_TY,
     mutual_info_within,
     oracle_capacity,
@@ -30,6 +35,7 @@ from reorderchan import (
     z_fixed_input_capacity,
     z_point_capacity,
 )
+from reorderchan import capacity
 
 FIG_PAIR = decompose_paths(build_weighted_graph(2))
 
@@ -221,6 +227,13 @@ def test_oracle_entry_limit_env(monkeypatch):
     assert oracle_entry_limit() == 12345
 
 
+@pytest.mark.parametrize("raw", ["abc", "-5", "1.5", "1e6"])
+def test_oracle_entry_limit_rejects_bad_values(monkeypatch, raw):
+    monkeypatch.setenv("REORDERCHAN_ORACLE_MAX_ENTRIES", raw)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        oracle_entry_limit()
+
+
 def test_equivalent_channel_matrix():
     ch = channel_preset("erasure", 0.2)
     cfg = FrameConfig(2, 0.5)
@@ -243,6 +256,8 @@ def test_equivalent_channel_matrix_shape_f4():
 
 def test_equivalent_channel_matrix_limit():
     with pytest.raises(ValueError, match="REORDERCHAN_ORACLE_MAX_ENTRIES"):
+        equivalent_channel_matrix(channel_preset("bsc", 0.1), FrameConfig(4, 0.3), max_entries=10)
+    with pytest.raises(OracleTooLarge):
         equivalent_channel_matrix(channel_preset("bsc", 0.1), FrameConfig(4, 0.3), max_entries=10)
 
 
@@ -289,3 +304,126 @@ def test_sweep_point_oracle_skipped_over_limit():
     row = sweep_point("erasure", 0.2, 0.5, 3, oracle_max_entries=0)
     assert row.c_oracle is None
     assert row.c_constructed > 0
+
+
+def test_sweep_point_keeps_other_oracle_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("not a size problem")
+
+    monkeypatch.setattr(capacity, "oracle_capacity", broken)
+    with pytest.raises(ValueError, match="not a size problem"):
+        sweep_point("erasure", 0.2, 0.5, 2)
+
+
+def _bit_strings(sset):
+    return [tuple(symbol_string(m.F, x) for x in m.reps) for m in sset.multisymbols]
+
+
+def _assert_orbit_matches_enumeration(ch, cfg, sset):
+    assert capacity._is_staircase_orbit(sset)
+    report = mutual_info_TY(ch, cfg, sset)
+    i_ty, i_xy, i_xy_given_t = capacity._enumerated_rates(ch, cfg, sset)
+    assert report.i_ty == pytest.approx(i_ty, abs=1e-9)
+    assert report.i_xy == pytest.approx(i_xy, abs=1e-9)
+    assert report.i_xy_given_t == pytest.approx(i_xy_given_t, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["erasure", "bsc", "z"])
+def test_orbit_path_matches_enumeration(kind):
+    for F in range(1, 9):
+        sset = decompose_paths(build_weighted_graph(F))
+        for p, a in ((0.2, 0.5), (0.05, 0.25), (0.4, 0.8)):
+            _assert_orbit_matches_enumeration(channel_preset(kind, p), FrameConfig(F, a), sset)
+
+
+def test_orbit_path_matches_enumeration_erasure_f9():
+    sset = decompose_paths(build_weighted_graph(9))
+    _assert_orbit_matches_enumeration(channel_preset("erasure", 0.15), FrameConfig(9, 0.35), sset)
+
+
+@pytest.mark.parametrize("kind", ["erasure", "bsc", "z"])
+def test_orbit_path_matches_enumeration_on_permutation_set(kind):
+    # the enumeration needs about 18 s for the F! orbit at erasure F = 8
+    for F in range(1, 8 if kind == "erasure" else 9):
+        sset = full_permutation_set(F)
+        for p, a in ((0.2, 0.5), (0.3, 0.7))[F // 8 :]:
+            _assert_orbit_matches_enumeration(channel_preset(kind, p), FrameConfig(F, a), sset)
+
+
+def test_orbit_path_matches_enumeration_four_letters():
+    ch = channel_from_config(
+        {"custom": {"q0": [0.6, 0.25, 0.1, 0.05], "q1": [0.05, 0.15, 0.3, 0.5]}}
+    )
+    for F in range(1, 7):
+        sset = decompose_paths(build_weighted_graph(F))
+        _assert_orbit_matches_enumeration(ch, FrameConfig(F, 0.35), sset)
+
+
+def test_type_ranks_index_compositions():
+    F, J = 5, 4
+    cols = np.arange(J**F)
+    ranks = capacity._type_ranks(F, J, cols)
+    digits = np.array([[(y // J ** (F - 1 - f)) % J for f in range(F)] for y in cols])
+    compositions = {}
+    for r, row in zip(ranks, digits):
+        compositions.setdefault(int(r), set()).add(tuple(np.bincount(row, minlength=J)))
+    assert sorted(compositions) == list(range(comb(F + J - 1, J - 1)))
+    assert all(len(c) == 1 for c in compositions.values())
+
+
+def _swap_state(sset, t1, t2, s):
+    multis = list(sset.multisymbols)
+    r1, r2 = list(multis[t1].reps), list(multis[t2].reps)
+    r1[s], r2[s] = r2[s], r1[s]
+    multis[t1] = Multisymbol(sset.F, tuple(r1))
+    multis[t2] = Multisymbol(sset.F, tuple(r2))
+    return StrategySet(tuple(multis), sset.pmf)
+
+
+def test_sets_failing_a_precondition_take_the_general_path():
+    lcm3 = decompose_paths(build_weighted_graph(3))
+    lcm4 = decompose_paths(build_weighted_graph(4))
+    # swapping two strategies' state-2 symbols keeps the coverage even; pick a
+    # partner whose state-1 symbol is not inside strategy 0's state-2 symbol
+    top = lcm4.multisymbols[0].reps[2]
+    t2 = next(t for t, m in enumerate(lcm4.multisymbols) if m.reps[1] & ~top)
+    swapped = _swap_state(lcm4, 0, t2, 2)
+    cfg4 = FrameConfig(4, 0.3)
+    assert np.array_equal(induced_input_pmf(swapped, cfg4), induced_input_pmf(lcm4, cfg4))
+    assert not all(is_minimal(m) for m in swapped.multisymbols)
+    chains = [basic_multisymbol(3), lcm3.multisymbols[1]]
+    cases = {
+        "unequal pmf": StrategySet(lcm3.multisymbols, (0.5, 0.3, 0.2)),
+        "non-chain strategies": swapped,
+        "single staircase": StrategySet((basic_multisymbol(3),), (1.0,)),
+        "two chains": StrategySet(tuple(chains), (0.5, 0.5)),
+    }
+    for name, sset in cases.items():
+        assert not capacity._is_staircase_orbit(sset), name
+        for kind, p, a in (("erasure", 0.2, 0.4), ("bsc", 0.1, 0.6), ("z", 0.3, 0.5)):
+            report = mutual_info_TY(channel_preset(kind, p), FrameConfig(sset.F, a), sset)
+            want = ref.strategy_set_mutual_info(kind, p, a, _bit_strings(sset), sset.pmf)
+            assert report.i_ty == pytest.approx(want, abs=1e-10), name
+
+
+def test_orbit_closed_forms_at_f12():
+    lcm12 = decompose_paths(build_weighted_graph(12))
+    for a in (0.3, 0.5):
+        cfg = FrameConfig(12, a)
+        for kind in ("erasure", "z"):
+            report = mutual_info_TY(channel_preset(kind, 0.0), cfg, lcm12)
+            assert report.i_ty == pytest.approx(errorless_capacity(cfg), abs=1e-9)
+        report = mutual_info_TY(channel_preset("bsc", 0.5), cfg, lcm12)
+        assert report.i_ty == pytest.approx(0.0, abs=1e-9)
+
+
+def test_orbit_split_check_is_live(monkeypatch):
+    # the orbit path takes I(X;Y) from the one-slot closed form and H(Y) from
+    # the type average; a nudged closed form must break the split check
+    ch, cfg = channel_preset("erasure", 0.2), FrameConfig(5, 0.4)
+    sset = decompose_paths(build_weighted_graph(5))
+    mutual_info_TY(ch, cfg, sset)
+    honest = capacity.single_use_mutual_info
+    monkeypatch.setattr(capacity, "single_use_mutual_info", lambda c, a: honest(c, a) + 1e-6)
+    with pytest.raises(RuntimeError, match="split"):
+        mutual_info_TY(ch, cfg, sset)

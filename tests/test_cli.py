@@ -1,8 +1,10 @@
+import os
 import subprocess
 import sys
 
 import pytest
 
+import reorderchan
 from reorderchan import (
     FrameConfig,
     channel_preset,
@@ -20,6 +22,13 @@ from reorderchan.cli import (
     run_cli,
     sweep_rows,
 )
+
+
+def child_env(**extra):
+    """Environment for a `python -m reorderchan` child that imports this same package."""
+    src = os.path.dirname(os.path.dirname(reorderchan.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def keyvals(out):
@@ -229,11 +238,35 @@ def test_oracle_respects_env_limit(capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("raw", ["abc", "-5"])
+def test_bad_oracle_limit_env_is_one_line_error(capsys, monkeypatch, raw):
+    monkeypatch.setenv("REORDERCHAN_ORACLE_MAX_ENTRIES", raw)
+    assert run_cli(["construct", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: REORDERCHAN_ORACLE_MAX_ENTRIES")
+    assert captured.err.count("\n") == 1
+
+
+def test_bad_oracle_limit_env_exits_without_traceback():
+    proc = subprocess.run(
+        [sys.executable, "-m", "reorderchan", "construct", "2"],
+        capture_output=True,
+        text=True,
+        env=child_env(REORDERCHAN_ORACLE_MAX_ENTRIES="abc"),
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "reorderchan", "construct", "2"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().split("\n") == ["00,01,11", "00,10,11"]
