@@ -8,7 +8,6 @@ I(X;Y|T), and the weight-class-constrained maximum of I(X;Y).
 
 import os
 from dataclasses import dataclass
-from itertools import product
 from math import comb, log2
 
 import numpy as np
@@ -18,10 +17,11 @@ from .frame_space import (
     FrameConfig,
     enumerate_weight_class,
     likelihood_rows,
+    mix_states,
     output_digits,
     state_pmf,
 )
-from .strategy import build_weighted_graph, decompose_paths, induced_input_pmf
+from .strategy import build_weighted_graph, decompose_paths, induced_input_pmf, strategy_table
 
 DECOMPOSITION_TOL = 1e-9
 BA_TOL = 1e-10
@@ -29,7 +29,6 @@ BA_MAX_ITER = 100_000
 ORACLE_MAX_ENTRIES = 2_000_000
 ORACLE_ENV_VAR = "REORDERCHAN_ORACLE_MAX_ENTRIES"
 BLOCK_COLS = 8192  # bounds the likelihood slab width when J**F is large
-MAX_CACHED_ENTRIES = 64_000_000  # full likelihood table kept only under ~512 MB
 
 
 @dataclass(frozen=True)
@@ -54,13 +53,6 @@ class BAResult:
     input_pmf: tuple
 
 
-def _neg_xlog2x_rows(mat):
-    """Row sums of -p log2 p, treating zeros as zero contribution."""
-    logs = np.zeros_like(mat)
-    np.log2(mat, out=logs, where=mat > 0)
-    return -(mat * logs).sum(axis=1)
-
-
 def single_use_mutual_info(channel, a):
     """Information through one packet slot when its input bit is 1 w.p. a."""
     u = (1.0 - a) * np.asarray(channel.q0) + a * np.asarray(channel.q1)
@@ -80,20 +72,6 @@ def _mean_noise_entropy(channel, config):
     )
 
 
-def _mixture_entropy_blocked(channel, F, xs, wts):
-    """Entropy of sum_i w_i P(.|x_i) over the output space, in column blocks."""
-    J = channel.J
-    total_cols = J**F
-    wts = np.asarray(wts, dtype=float)
-    h = 0.0
-    for start in range(0, total_cols, BLOCK_COLS):
-        cols = np.arange(start, min(start + BLOCK_COLS, total_cols), dtype=np.int64)
-        mix = wts @ likelihood_rows(channel, F, xs, cols)
-        mix = mix[mix > 0]
-        h -= float(np.sum(mix * np.log2(mix)))
-    return h
-
-
 def c_xy(channel, config):
     """Largest I(X;Y) over input laws with the binomial weight-class marginals.
 
@@ -101,11 +79,6 @@ def c_xy(channel, config):
     which makes the F bits i.i.d. Bernoulli(a); so it equals the outer bound.
     """
     return outer_bound(channel, config)
-
-
-def _entropy_of(vec):
-    vec = vec[vec > 0]
-    return -float(np.sum(vec * np.log2(vec)))
 
 
 def _is_staircase_orbit(sset):
@@ -121,7 +94,7 @@ def _is_staircase_orbit(sset):
     pmf = np.asarray(sset.pmf)
     if np.any(pmf != pmf[0]):
         return False
-    reps = np.array([m.reps for m in sset.multisymbols], dtype=np.int64)
+    reps, _, _ = strategy_table(sset)
     if np.any(reps[:, :-1] & ~reps[:, 1:]):
         return False
     n_t = len(reps)
@@ -169,7 +142,7 @@ def _orbit_rates(channel, config):
     for start in range(0, total_cols, BLOCK_COLS):
         cols = np.arange(start, min(start + BLOCK_COLS, total_cols), dtype=np.int64)
         p_stair = pmf_s @ likelihood_rows(channel, F, stair, cols)
-        h_stair += _entropy_of(p_stair)
+        h_stair += entropy_bits(p_stair)
         ranks = _type_ranks(F, J, cols)
         type_mass += np.bincount(ranks, weights=p_stair, minlength=n_types)
         type_size += np.bincount(ranks, minlength=n_types)
@@ -182,68 +155,52 @@ def _orbit_rates(channel, config):
 def _enumerated_rates(channel, config, sset):
     """(i_ty, i_xy, i_xy_given_t) of any strategy set, by enumerating every strategy row.
 
-    H(Y) and the per-strategy output entropies come from one blocked pass
-    over the output space; I(X;Y) is recomputed from the induced input law,
-    which regroups the same mixture by symbol instead of by strategy.
+    One blocked pass over the output space mixes each block's likelihood rows
+    twice: by strategy, for H(Y) and the per-strategy output entropies, and
+    by symbol under the induced input law, for the H(Y) inside I(X;Y).
     """
     F = config.F
-    J = channel.J
     pmf_s = state_pmf(config)
     pmf_t = np.asarray(sset.pmf)
-    used = sorted({x for m in sset.multisymbols for x in m.reps})
-    index = {x: i for i, x in enumerate(used)}
-    rep_idx = np.array([[index[x] for x in m.reps] for m in sset.multisymbols])
-    n_t = len(sset.multisymbols)
-    total_cols = J**F
-
-    # one likelihood table feeds the strategy rows and both mixture entropies
-    cached = len(used) * total_cols <= MAX_CACHED_ENTRIES
-    full_rows = np.empty((len(used), total_cols)) if cached else None
+    _, used, rep_idx = strategy_table(sset)
+    p_x = induced_input_pmf(sset, config)[used]
+    n_t = len(pmf_t)
+    total_cols = channel.J**F
     chunk = max(1, (1 << 22) // BLOCK_COLS)  # strategies per slab
     h_t = np.zeros(n_t)
-    h_y = 0.0
+    h_y = h_y_by_x = 0.0
     for start in range(0, total_cols, BLOCK_COLS):
-        stop = min(start + BLOCK_COLS, total_cols)
-        cols = np.arange(start, stop, dtype=np.int64)
+        cols = np.arange(start, min(start + BLOCK_COLS, total_cols), dtype=np.int64)
         rows = likelihood_rows(channel, F, used, cols)
-        if cached:
-            full_rows[:, start:stop] = rows
         mix = np.zeros(len(cols))
         for lo in range(0, n_t, chunk):
-            hi = min(lo + chunk, n_t)
-            trows = np.zeros((hi - lo, len(cols)))
-            for s in range(F + 1):
-                trows += pmf_s[s] * rows[rep_idx[lo:hi, s]]
-            mix += pmf_t[lo:hi] @ trows
-            h_t[lo:hi] += _neg_xlog2x_rows(trows)
-        h_y += _entropy_of(mix)
+            trows = mix_states(rows, rep_idx[lo : lo + chunk], pmf_s)
+            mix += pmf_t[lo : lo + chunk] @ trows
+            h_t[lo : lo + chunk] += entropy_bits(trows)
+        h_y += entropy_bits(mix)
+        h_y_by_x += entropy_bits(p_x @ rows)
     noise = _mean_noise_entropy(channel, config)
-    i_ty = h_y - float(pmf_t @ h_t)
-    i_xy_given_t = float(pmf_t @ h_t) - noise
-
-    p_x = induced_input_pmf(sset, config)
-    if cached:
-        i_xy = _entropy_of(p_x[used] @ full_rows) - noise
-    else:
-        support = np.flatnonzero(p_x > 0)
-        i_xy = _mixture_entropy_blocked(channel, F, support, p_x[support]) - noise
-    return i_ty, i_xy, i_xy_given_t
+    h_y_given_t = float(pmf_t @ h_t)
+    return h_y - h_y_given_t, h_y_by_x - noise, h_y_given_t - noise
 
 
-def mutual_info_TY(channel, config, sset, method="constructed"):
+def mutual_info_TY(channel, config, sset):
     """Information rates of a strategy set, with the cascade split checked.
 
     Sets that pass `_is_staircase_orbit` (the constructed set and the
-    permutation orbit among them) are evaluated from the F+1 staircase rows;
-    any other set enumerates every strategy. Either way the split
+    permutation orbit among them) are evaluated from the F+1 staircase rows
+    and report method "constructed"; any other set enumerates every strategy
+    and reports "enumerated". Either way the split
     I(T;Y) = I(X;Y) - I(X;Y|T) compares two independently computed values
     and must close numerically or the call fails.
     """
     if sset.F != config.F:
         raise ValueError("strategy set and frame config disagree on F")
     if _is_staircase_orbit(sset):
+        method = "constructed"
         i_ty, i_xy, i_xy_given_t = _orbit_rates(channel, config)
     else:
+        method = "enumerated"
         i_ty, i_xy, i_xy_given_t = _enumerated_rates(channel, config, sset)
     if abs(i_ty - (i_xy - i_xy_given_t)) > DECOMPOSITION_TOL:
         raise RuntimeError("information split I(T;Y) = I(X;Y) - I(X;Y|T) failed to close")
@@ -321,14 +278,11 @@ def equivalent_channel_matrix(channel, config, max_entries=None):
             f"strategy table needs {n_t} x {n_y} entries, over the limit {max_entries}; "
             f"raise {ORACLE_ENV_VAR} only if memory allows"
         )
-    pmf_s = state_pmf(config)
     rows = likelihood_rows(channel, F, list(range(1 << F)))
     classes = [enumerate_weight_class(F, s) for s in range(F + 1)]
-    W = np.zeros((n_t, n_y))
-    for i, reps in enumerate(product(*classes)):
-        for s, x in enumerate(reps):
-            W[i] += pmf_s[s] * rows[x]
-    return W
+    # every map, in itertools.product order: the last state varies fastest
+    maps = np.stack(np.meshgrid(*classes, indexing="ij"), axis=-1).reshape(n_t, F + 1)
+    return mix_states(rows, maps, state_pmf(config))
 
 
 def blahut_arimoto(W, tol=BA_TOL, max_iter=BA_MAX_ITER):

@@ -10,8 +10,12 @@ PRESET_KINDS = ("erasure", "bsc", "z")
 
 
 def entropy_bits(pmf):
-    """Shannon entropy of a probability vector in bits, with 0 log 0 = 0."""
+    """Shannon entropy in bits, 0 log 0 = 0, of a vector or of each row of a matrix."""
     p = np.asarray(pmf, dtype=float)
+    if p.ndim == 2:
+        logs = np.zeros_like(p)
+        np.log2(p, out=logs, where=p > 0)
+        return -(p * logs).sum(axis=1)
     p = p[p > 0]
     # adding 0.0 keeps a degenerate vector from printing as -0.0
     return float(-np.sum(p * np.log2(p)) + 0.0)
@@ -86,15 +90,3 @@ def row_entropy(channel, bit):
     """Entropy in bits of the output letter given one input bit."""
     return entropy_bits(channel.row(bit))
 
-
-def channel_from_config(record):
-    """Deserialize a channel from {kind, p} or {custom: {q0, q1[, labels]}}."""
-    if "custom" in record:
-        custom = record["custom"]
-        q0 = tuple(custom["q0"])
-        q1 = tuple(custom["q1"])
-        labels = custom.get("labels")
-        if labels is None:
-            labels = tuple(str(j) for j in range(len(q0)))
-        return BinaryInputChannel(q0, q1, tuple(labels))
-    return channel_preset(record["kind"], float(record["p"]))

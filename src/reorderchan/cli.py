@@ -14,7 +14,7 @@ from .capacity import (
     sweep_point,
 )
 from .channel import PRESET_KINDS, channel_preset
-from .frame_space import FrameConfig
+from .frame_space import FrameConfig, check_frame_len
 from .multisymbol import multisymbol_strings
 from .simulate import run_monte_carlo
 from .strategy import build_weighted_graph, decompose_paths
@@ -63,6 +63,7 @@ def parse_prob_list(text):
 
 
 def _cmd_construct(args):
+    check_frame_len(args.F)
     sset = decompose_paths(build_weighted_graph(args.F))
     for m in sset.multisymbols:
         print(",".join(multisymbol_strings(m)))
@@ -230,7 +231,7 @@ def run_cli(argv=None):
     args.oracle_max_entries = oracle_limit
     try:
         return args.func(args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         return _fail(exc)
 
 

@@ -16,6 +16,12 @@ from .channel import row_entropy
 MAX_FRAME_LEN = 20
 
 
+def check_frame_len(F):
+    """Refuse a frame length outside 1..MAX_FRAME_LEN before anything is sized by it."""
+    if not isinstance(F, int) or not 1 <= F <= MAX_FRAME_LEN:
+        raise ValueError(f"F must be an integer in 1..{MAX_FRAME_LEN}")
+
+
 @dataclass(frozen=True)
 class FrameConfig:
     """Frame length F and the probability a that a packet is addressed 1."""
@@ -24,8 +30,7 @@ class FrameConfig:
     a: float
 
     def __post_init__(self):
-        if not isinstance(self.F, int) or not 1 <= self.F <= MAX_FRAME_LEN:
-            raise ValueError(f"F must be an integer in 1..{MAX_FRAME_LEN}")
+        check_frame_len(self.F)
         if not 0.0 <= self.a <= 1.0:
             raise ValueError("a must be in [0, 1]")
 
@@ -113,6 +118,21 @@ def likelihood_rows(channel, F, xs, cols=None):
     for f in range(F):
         rows *= qmat[bits[:, f]][:, digits[:, f]]
     return rows
+
+
+def mix_states(rows, rep_idx, pmf_s):
+    """Rows sum_s pmf_s[s] * rows[rep_idx[:, s]]: P(y | t) with the frame state mixed.
+
+    rows holds P(. | x) for the symbols that rep_idx points into, one row of
+    rep_idx per strategy. States are added in ascending order from zero, so
+    every caller gets the same bits for the same strategy.
+    """
+    out = np.zeros((len(rep_idx), rows.shape[1]))
+    for s, p in enumerate(pmf_s):
+        term = rows[rep_idx[:, s]]
+        term *= p
+        out += term
+    return out
 
 
 def frame_likelihood(channel, F, x, y):

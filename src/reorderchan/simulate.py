@@ -11,7 +11,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import mutual_info_TY
-from .frame_space import frame_likelihood, likelihood_rows, output_string, state_pmf, symbol_string
+from .frame_space import (
+    frame_likelihood,
+    likelihood_rows,
+    mix_states,
+    output_string,
+    state_pmf,
+    symbol_string,
+)
+from .strategy import strategy_table
 
 
 @dataclass(frozen=True)
@@ -68,9 +76,7 @@ def map_decode(sset, channel, config, y):
 
 def _decode_observed(sset, channel, config, pmf_s, uniq_y):
     """MAP strategy index for each observed output, smallest index on ties."""
-    used = sorted({x for m in sset.multisymbols for x in m.reps})
-    index = {x: i for i, x in enumerate(used)}
-    rep_idx = np.array([[index[x] for x in m.reps] for m in sset.multisymbols])
+    _, used, rep_idx = strategy_table(sset)
     rows = likelihood_rows(channel, config.F, used, uniq_y)
     pmf_t = np.asarray(sset.pmf)
     n_t = len(sset.multisymbols)
@@ -78,11 +84,8 @@ def _decode_observed(sset, channel, config, pmf_s, uniq_y):
     best_t = np.full(len(uniq_y), -1, dtype=np.int64)
     chunk = max(1, (1 << 22) // max(1, len(uniq_y)))
     for lo in range(0, n_t, chunk):
-        hi = min(lo + chunk, n_t)
-        posterior = np.zeros((hi - lo, len(uniq_y)))
-        for s in range(config.F + 1):
-            posterior += pmf_s[s] * rows[rep_idx[lo:hi, s]]
-        posterior *= pmf_t[lo:hi, None]
+        posterior = mix_states(rows, rep_idx[lo : lo + chunk], pmf_s)
+        posterior *= pmf_t[lo : lo + chunk, None]
         cand = posterior.argmax(axis=0)
         cand_val = posterior[cand, np.arange(len(uniq_y))]
         better = cand_val > best
@@ -115,7 +118,7 @@ def run_monte_carlo(channel, config, sset, n_frames, seed, trace=None):
     s_draw = np.minimum(s_draw, F)
     t_draw = np.searchsorted(np.cumsum(pmf_t), rng.random(n_frames), side="right")
     t_draw = np.minimum(t_draw, n_t - 1)
-    reps = np.array([m.reps for m in sset.multisymbols], dtype=np.int64)
+    reps, _, _ = strategy_table(sset)
     x = reps[t_draw, s_draw]
 
     shifts = np.arange(F - 1, -1, -1, dtype=np.int64)

@@ -225,6 +225,17 @@ def full_permutation_set(F):
     return StrategySet(tuple(multis), tuple(1.0 / n for _ in range(n)))
 
 
+def strategy_table(sset):
+    """(reps, used, rep_idx): the L x (F+1) representatives and their distinct symbols.
+
+    used lists the symbols any strategy sends, ascending, and rep_idx indexes
+    into it, so used[rep_idx] == reps.
+    """
+    reps = np.array([m.reps for m in sset.multisymbols], dtype=np.int64)
+    used, rep_idx = np.unique(reps, return_inverse=True)
+    return reps, used, rep_idx.reshape(reps.shape)
+
+
 def induced_input_pmf(sset, config):
     """Input law the set induces: each strategy sends its state-s representative."""
     if sset.F != config.F:

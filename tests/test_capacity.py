@@ -5,6 +5,7 @@ import pytest
 
 import reference as ref
 from reorderchan import (
+    BinaryInputChannel,
     FrameConfig,
     Multisymbol,
     OracleTooLarge,
@@ -14,9 +15,9 @@ from reorderchan import (
     blahut_arimoto,
     build_weighted_graph,
     c_xy,
-    channel_from_config,
     channel_preset,
     decompose_paths,
+    enumerate_weight_class,
     equivalent_channel_matrix,
     errorless_capacity,
     full_permutation_set,
@@ -322,6 +323,7 @@ def _bit_strings(sset):
 def _assert_orbit_matches_enumeration(ch, cfg, sset):
     assert capacity._is_staircase_orbit(sset)
     report = mutual_info_TY(ch, cfg, sset)
+    assert report.method == "constructed"
     i_ty, i_xy, i_xy_given_t = capacity._enumerated_rates(ch, cfg, sset)
     assert report.i_ty == pytest.approx(i_ty, abs=1e-9)
     assert report.i_xy == pytest.approx(i_xy, abs=1e-9)
@@ -351,9 +353,7 @@ def test_orbit_path_matches_enumeration_on_permutation_set(kind):
 
 
 def test_orbit_path_matches_enumeration_four_letters():
-    ch = channel_from_config(
-        {"custom": {"q0": [0.6, 0.25, 0.1, 0.05], "q1": [0.05, 0.15, 0.3, 0.5]}}
-    )
+    ch = BinaryInputChannel((0.6, 0.25, 0.1, 0.05), (0.05, 0.15, 0.3, 0.5), "0123")
     for F in range(1, 7):
         sset = decompose_paths(build_weighted_graph(F))
         _assert_orbit_matches_enumeration(ch, FrameConfig(F, 0.35), sset)
@@ -427,3 +427,32 @@ def test_orbit_split_check_is_live(monkeypatch):
     monkeypatch.setattr(capacity, "single_use_mutual_info", lambda c, a: honest(c, a) + 1e-6)
     with pytest.raises(RuntimeError, match="split"):
         mutual_info_TY(ch, cfg, sset)
+
+
+def _random_set(F, n, seed):
+    """n strategies with a random representative per state and a random pmf."""
+    rng = np.random.default_rng(seed)
+    classes = [enumerate_weight_class(F, s) for s in range(F + 1)]
+    multis = [Multisymbol(F, tuple(int(rng.choice(c)) for c in classes)) for _ in range(n)]
+    pmf = rng.dirichlet(np.ones(n))
+    return StrategySet(tuple(multis), tuple(pmf / pmf.sum()))
+
+
+def test_random_set_reports_enumerated():
+    sset = _random_set(4, 20, seed=3)
+    report = mutual_info_TY(channel_preset("bsc", 0.1), FrameConfig(4, 0.4), sset)
+    assert report.method == "enumerated"
+    want = ref.strategy_set_mutual_info("bsc", 0.1, 0.4, _bit_strings(sset), sset.pmf)
+    assert report.i_ty == pytest.approx(want, abs=1e-10)
+
+
+def test_general_rates_do_not_depend_on_block_width(monkeypatch):
+    # 729 erasure outputs at F = 6: one block by default, eight of 100 here,
+    # so both H(Y) sums and the split check run across block boundaries
+    ch, cfg = channel_preset("erasure", 0.2), FrameConfig(6, 0.4)
+    sset = _random_set(6, 50, seed=5)
+    whole = mutual_info_TY(ch, cfg, sset)
+    monkeypatch.setattr(capacity, "BLOCK_COLS", 100)
+    blocked = mutual_info_TY(ch, cfg, sset)
+    for name in ("i_ty", "i_xy", "i_xy_given_t"):
+        assert getattr(blocked, name) == pytest.approx(getattr(whole, name), abs=1e-12), name

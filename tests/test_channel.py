@@ -4,7 +4,6 @@ import pytest
 from reorderchan import (
     BinaryInputChannel,
     binary_entropy,
-    channel_from_config,
     channel_preset,
     entropy_bits,
     row_entropy,
@@ -95,22 +94,6 @@ def test_row_entropy_values():
     ch = channel_preset("erasure", 0.3)
     assert abs(row_entropy(ch, 0) - binary_entropy(0.3)) < 1e-15
     assert abs(row_entropy(ch, 1) - binary_entropy(0.3)) < 1e-15
-
-
-def test_channel_from_config_preset():
-    ch = channel_from_config({"kind": "bsc", "p": 0.1})
-    assert ch.q0 == (0.9, 0.1)
-    assert ch.q1 == (0.1, 0.9)
-
-
-def test_channel_from_config_custom():
-    ch = channel_from_config({"custom": {"q0": [0.7, 0.2, 0.1], "q1": [0.1, 0.2, 0.7]}})
-    assert ch.q0 == (0.7, 0.2, 0.1)
-    assert ch.output_labels == ("0", "1", "2")
-    named = channel_from_config(
-        {"custom": {"q0": [1.0, 0.0], "q1": [0.4, 0.6], "labels": ["a", "b"]}}
-    )
-    assert named.output_labels == ("a", "b")
 
 
 def test_labels_coerced_to_strings():

@@ -270,3 +270,27 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().split("\n") == ["00,01,11", "00,10,11"]
+
+
+@pytest.mark.parametrize("F", ["0", "21"])
+def test_construct_rejects_out_of_range_f(capsys, F):
+    assert run_cli(["construct", F]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: F must be an integer in 1..20\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--F", "2", "--frames", "40", "--trace"],
+        ["sweep", "--F", "2", "--out"],
+    ],
+)
+def test_unwritable_output_file_is_one_line_error(tmp_path, capsys, args):
+    argv = args[:1] + ["--preset", "bsc", "--p", "0.1", "--a", "0.5"] + args[1:]
+    assert run_cli(argv + [str(tmp_path / "missing" / "out.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1

@@ -6,18 +6,25 @@ import pytest
 import reference as ref
 from reorderchan import (
     FrameConfig,
+    StrategySet,
     binary_entropy,
+    build_weighted_graph,
     channel_preset,
     conditional_entropy_given_x,
+    decompose_paths,
     enumerate_weight_class,
     frame_likelihood,
+    iter_all_multisymbols,
     likelihood_rows,
+    output_pmf_given_t,
     output_string,
     state_pmf,
     symbol_from_string,
     symbol_string,
     weight,
 )
+from reorderchan.frame_space import mix_states
+from reorderchan.strategy import strategy_table
 
 
 def test_frame_config_validation():
@@ -158,3 +165,20 @@ def test_conditional_entropy_matches_enumeration():
             got = conditional_entropy_given_x(channel_preset(kind, 0.3), 3, x)
             want = ref.conditional_output_entropy(kind, 0.3, symbol_string(3, x))
             assert abs(got - want) < 1e-12
+
+
+def test_mix_states_matches_each_strategy_law():
+    all_maps = list(iter_all_multisymbols(3))
+    sets = (
+        decompose_paths(build_weighted_graph(4)),
+        StrategySet(tuple(all_maps), tuple(1.0 / len(all_maps) for _ in all_maps)),
+    )
+    for sset in sets:
+        cfg = FrameConfig(sset.F, 0.35)
+        _, used, rep_idx = strategy_table(sset)
+        for kind in ("erasure", "bsc", "z"):
+            ch = channel_preset(kind, 0.2)
+            mixed = mix_states(likelihood_rows(ch, sset.F, used), rep_idx, state_pmf(cfg))
+            assert mixed.shape == (len(sset), ch.J**sset.F)
+            for row, m in zip(mixed, sset.multisymbols):
+                assert np.max(np.abs(row - output_pmf_given_t(ch, cfg, m))) <= 1e-15

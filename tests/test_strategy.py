@@ -19,6 +19,7 @@ from reorderchan import (
     state_pmf,
     weight,
 )
+from reorderchan.strategy import strategy_table
 
 LCM_TABLE = {1: 1, 2: 2, 3: 3, 4: 12, 5: 10, 6: 60, 7: 105, 8: 280, 9: 252, 10: 2520}
 
@@ -201,3 +202,12 @@ def test_induced_input_pmf_single_strategy():
 def test_induced_input_pmf_checks_f():
     with pytest.raises(ValueError):
         induced_input_pmf(full_permutation_set(3), FrameConfig(4, 0.5))
+
+
+def test_strategy_table_indexes_used_symbols():
+    twice = StrategySet((basic_multisymbol(3), basic_multisymbol(3)), (0.5, 0.5))
+    for sset in (decompose_paths(build_weighted_graph(4)), full_permutation_set(3), twice):
+        reps, used, rep_idx = strategy_table(sset)
+        assert np.array_equal(reps, [m.reps for m in sset.multisymbols])
+        assert np.array_equal(used[rep_idx], reps)
+        assert used.tolist() == sorted({x for m in sset.multisymbols for x in m.reps})
