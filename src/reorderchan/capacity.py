@@ -265,10 +265,8 @@ def oracle_entry_limit():
     return limit
 
 
-def equivalent_channel_matrix(channel, config, max_entries=None):
-    """Rows P(y | t) for every strategy map, states mixed by the frame law."""
-    F = config.F
-    J = channel.J
+def _check_oracle_size(F, J, max_entries):
+    """Refuse an oracle whose all-maps table, n_maps x J^F, would pass the ceiling."""
     if max_entries is None:
         max_entries = oracle_entry_limit()
     n_t = strategy_space_size(F)
@@ -278,34 +276,98 @@ def equivalent_channel_matrix(channel, config, max_entries=None):
             f"strategy table needs {n_t} x {n_y} entries, over the limit {max_entries}; "
             f"raise {ORACLE_ENV_VAR} only if memory allows"
         )
-    rows = likelihood_rows(channel, F, list(range(1 << F)))
+
+
+def _all_maps(F):
+    """Every strategy map as a row of its F+1 representatives, in itertools.product order.
+
+    The last state varies fastest.
+    """
     classes = [enumerate_weight_class(F, s) for s in range(F + 1)]
-    # every map, in itertools.product order: the last state varies fastest
-    maps = np.stack(np.meshgrid(*classes, indexing="ij"), axis=-1).reshape(n_t, F + 1)
-    return mix_states(rows, maps, state_pmf(config))
+    return np.stack(np.meshgrid(*classes, indexing="ij"), axis=-1).reshape(-1, F + 1)
 
 
-def blahut_arimoto(W, tol=BA_TOL, max_iter=BA_MAX_ITER):
+def equivalent_channel_matrix(channel, config, max_entries=None):
+    """Rows P(y | t) for every strategy map, states mixed by the frame law.
+
+    The oracle runs on `orbit_channel`; this full table is its enumerated
+    cross-check.
+    """
+    F = config.F
+    _check_oracle_size(F, channel.J, max_entries)
+    rows = likelihood_rows(channel, F, list(range(1 << F)))
+    return mix_states(rows, _all_maps(F), state_pmf(config))
+
+
+@dataclass(frozen=True)
+class OrbitChannel:
+    """The all-maps channel lumped on S_F orbits of maps and of outputs.
+
+    V[i, k] is the probability that map orbit i's representative sends the
+    output into composition k; row_const[i] is sum_y W log2 W of that
+    representative plus sum_k V[i, k] log2 |Y_k|.
+    """
+
+    V: np.ndarray
+    row_const: np.ndarray
+    orbit_sizes: np.ndarray
+    type_sizes: np.ndarray
+
+
+def orbit_channel(channel, config):
+    """Lump `equivalent_channel_matrix` on S_F orbits of maps and output compositions.
+
+    Permuting packet positions permutes the bit columns of every
+    representative at once, so two maps share an orbit exactly when their
+    per-position columns (bit f of rep_0..rep_F) form the same multiset. The
+    channel is the same at every position, so W(pi y | pi t) = W(y | t):
+    orbit members have permuted rows and outputs of one composition are
+    interchangeable.
+    """
+    F, J = config.F, channel.J
+    maps = _all_maps(F)
+    shifts = np.arange(F - 1, -1, -1, dtype=np.int64)
+    cols = np.zeros((len(maps), F), dtype=np.int64)
+    for s in range(F + 1):
+        cols |= ((maps[:, s, None] >> shifts) & 1) << s
+    cols.sort(axis=1)
+    key = np.zeros(len(maps), dtype=np.int64)  # F (F+1) bits: 42 at F = 6
+    for f in range(F):
+        key = (key << (F + 1)) | cols[:, f]
+    _, first, orbit_sizes = np.unique(key, return_index=True, return_counts=True)
+    rows = likelihood_rows(channel, F, list(range(1 << F)))
+    W = mix_states(rows, maps[first], state_pmf(config))
+    ranks = _type_ranks(F, J, np.arange(J**F, dtype=np.int64))
+    type_sizes = np.bincount(ranks, minlength=comb(F + J - 1, J - 1))
+    V = W @ (ranks[:, None] == np.arange(len(type_sizes)))
+    row_const = V @ np.log2(type_sizes) - entropy_bits(W)
+    return OrbitChannel(V, row_const, orbit_sizes, type_sizes)
+
+
+def blahut_arimoto(W, tol=BA_TOL, max_iter=BA_MAX_ITER, row_const=None, r0=None):
     """Capacity of a discrete memoryless channel from its row-stochastic matrix.
 
     Alternating maximization over the input law; the spread of the per-row
     information densities brackets the optimum, so iteration stops once
-    max_t D_t - sum_t r_t D_t drops under tol.
+    max_t D_t - sum_t r_t D_t drops under tol. A lumped channel runs the same
+    iteration by passing row_const, which replaces sum_y W log2 W in D_t,
+    and r0, which replaces the uniform starting law.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or np.any(W < 0) or not np.allclose(W.sum(axis=1), 1.0, atol=1e-9):
         raise ValueError("need a matrix of probability rows")
     n = W.shape[0]
-    logW = np.zeros_like(W)
-    np.log2(W, out=logW, where=W > 0)
-    wlogw = np.sum(W * logW, axis=1)
-    r = np.full(n, 1.0 / n)
+    if row_const is None:
+        logW = np.zeros_like(W)
+        np.log2(W, out=logW, where=W > 0)
+        row_const = np.sum(W * logW, axis=1)
+    r = np.full(n, 1.0 / n) if r0 is None else np.asarray(r0, dtype=float)
     gap = np.inf
     for it in range(1, max_iter + 1):
         q = r @ W
         logq = np.zeros_like(q)
         np.log2(q, out=logq, where=q > 0)
-        densities = wlogw - W @ logq
+        densities = row_const - W @ logq
         lower = float(r @ densities)
         upper = float(densities.max())
         gap = upper - lower
@@ -316,10 +378,25 @@ def blahut_arimoto(W, tol=BA_TOL, max_iter=BA_MAX_ITER):
     raise RuntimeError(f"no convergence after {max_iter} iterations; duality gap {gap:.3e}")
 
 
+def oracle_solve(channel, config, max_entries=None, tol=BA_TOL, max_iter=BA_MAX_ITER):
+    """Blahut-Arimoto over every admissible strategy map, run on `orbit_channel`.
+
+    The iteration starts uniform over maps, so every iterate is S_F-invariant
+    and the lumped run has the same bounds, gap and iteration count as the
+    run on `equivalent_channel_matrix`, up to floating-point rounding. The
+    result's input_pmf is the law over map orbits. The ceiling still counts
+    the all-maps table.
+    """
+    _check_oracle_size(config.F, channel.J, max_entries)
+    orbits = orbit_channel(channel, config)
+    r0 = orbits.orbit_sizes / strategy_space_size(config.F)
+    return blahut_arimoto(orbits.V, tol, max_iter, row_const=orbits.row_const, r0=r0)
+
+
 def oracle_capacity(channel, config, max_entries=None, tol=BA_TOL, max_iter=BA_MAX_ITER):
     """Brute-force capacity over every admissible strategy map."""
-    W = equivalent_channel_matrix(channel, config, max_entries=max_entries)
-    return blahut_arimoto(W, tol=tol, max_iter=max_iter).capacity
+    result = oracle_solve(channel, config, max_entries=max_entries, tol=tol, max_iter=max_iter)
+    return result.capacity
 
 
 def secondary_capacity(channel, config):

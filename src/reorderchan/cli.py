@@ -6,10 +6,9 @@ from dataclasses import dataclass
 
 from .capacity import (
     ORACLE_ENV_VAR,
-    blahut_arimoto,
-    equivalent_channel_matrix,
     errorless_capacity,
     oracle_entry_limit,
+    oracle_solve,
     secondary_capacity,
     sweep_point,
 )
@@ -92,8 +91,7 @@ def _cmd_capacity(args):
 def _cmd_oracle(args):
     ch = channel_preset(args.preset, args.p)
     cfg = FrameConfig(args.F, args.a)
-    W = equivalent_channel_matrix(ch, cfg, max_entries=args.oracle_max_entries)
-    result = blahut_arimoto(W)
+    result = oracle_solve(ch, cfg, max_entries=args.oracle_max_entries)
     print(f"preset {args.preset}")
     print(f"F {args.F}")
     print(f"a {fmt(args.a)}")

@@ -135,21 +135,6 @@ def mix_states(rows, rep_idx, pmf_s):
     return out
 
 
-def frame_likelihood(channel, F, x, y):
-    """P(y | x) for one frame: product of per-packet transition probabilities."""
-    J = channel.J
-    if not 0 <= x < (1 << F):
-        raise ValueError("frame symbol out of range for this frame length")
-    if not 0 <= y < J**F:
-        raise ValueError("output symbol out of range for this frame length")
-    prob = 1.0
-    for f in range(F):
-        bit = (x >> (F - 1 - f)) & 1
-        letter = (y // J ** (F - 1 - f)) % J
-        prob *= channel.q1[letter] if bit else channel.q0[letter]
-    return prob
-
-
 def conditional_entropy_given_x(channel, F, x):
     """Output entropy given the sent symbol: weight * H(q1) + (F - weight) * H(q0).
 

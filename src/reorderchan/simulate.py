@@ -11,14 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import mutual_info_TY
-from .frame_space import (
-    frame_likelihood,
-    likelihood_rows,
-    mix_states,
-    output_string,
-    state_pmf,
-    symbol_string,
-)
+from .frame_space import likelihood_rows, mix_states, output_string, state_pmf, symbol_string
 from .strategy import strategy_table
 
 
@@ -41,37 +34,6 @@ def encode(sset, t, s):
     if not 0 <= s <= m.F:
         raise ValueError("state out of range")
     return m.reps[s]
-
-
-def transmit(channel, F, x, rng):
-    """Send one frame symbol; every position draws from its input bit's row."""
-    J = channel.J
-    cum = np.cumsum(channel.matrix(), axis=1)
-    y = 0
-    for f in range(F):
-        bit = (x >> (F - 1 - f)) & 1
-        letter = int(np.searchsorted(cum[bit], rng.random(), side="right"))
-        y = y * J + min(letter, J - 1)
-    return y
-
-
-def map_decode(sset, channel, config, y):
-    """Most probable strategy for one received output; ties go to the smallest index."""
-    pmf_s = state_pmf(config)
-    best_t = -1
-    best = 0.0
-    for t, m in enumerate(sset.multisymbols):
-        like = sum(
-            pmf_s[s] * frame_likelihood(channel, config.F, m.reps[s], y)
-            for s in range(config.F + 1)
-        )
-        posterior = sset.pmf[t] * like
-        if posterior > best:
-            best = posterior
-            best_t = t
-    if best_t < 0:
-        raise ValueError("received output has zero probability under every strategy")
-    return best_t
 
 
 def _decode_observed(sset, channel, config, pmf_s, uniq_y):

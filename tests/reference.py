@@ -1,10 +1,13 @@
 """Brute-force reference computations used to pin expected test values.
 
 Everything here works on bit strings and plain dicts so that results never
-share code with the package under test.
+share code with the package under test. The scalar frame routines at the end
+take package objects but read only their fields: a channel's rows q0 and q1,
+a strategy set's representatives and law, and a config's F and a.
 """
 
-from itertools import product
+from bisect import bisect_right
+from itertools import accumulate, product
 from math import comb, log2
 
 
@@ -126,3 +129,49 @@ def strategy_set_mutual_info(kind, p, a, strategies, pmf_t):
             if pr > 0:
                 joint[(t, y)] = pr
     return mutual_information(joint)
+
+
+def frame_likelihood(channel, F, x, y):
+    """P(y | x) for one frame: product of per-packet transition probabilities."""
+    J = len(channel.q0)
+    if not 0 <= x < (1 << F):
+        raise ValueError("frame symbol out of range for this frame length")
+    if not 0 <= y < J**F:
+        raise ValueError("output symbol out of range for this frame length")
+    prob = 1.0
+    for f in range(F):
+        bit = (x >> (F - 1 - f)) & 1
+        letter = (y // J ** (F - 1 - f)) % J
+        prob *= channel.q1[letter] if bit else channel.q0[letter]
+    return prob
+
+
+def transmit(channel, F, x, rng):
+    """Send one frame symbol; every position draws its letter from its input bit's row."""
+    J = len(channel.q0)
+    cum = (list(accumulate(channel.q0)), list(accumulate(channel.q1)))
+    y = 0
+    for f in range(F):
+        bit = (x >> (F - 1 - f)) & 1
+        letter = bisect_right(cum[bit], rng.random())
+        y = y * J + min(letter, J - 1)
+    return y
+
+
+def map_decode(sset, channel, config, y):
+    """Most probable strategy for one received output; ties go to the smallest index."""
+    probs = state_probs(config.F, config.a)
+    best_t = -1
+    best = 0.0
+    for t, m in enumerate(sset.multisymbols):
+        like = sum(
+            probs[s] * frame_likelihood(channel, config.F, m.reps[s], y)
+            for s in range(config.F + 1)
+        )
+        posterior = sset.pmf[t] * like
+        if posterior > best:
+            best = posterior
+            best_t = t
+    if best_t < 0:
+        raise ValueError("received output has zero probability under every strategy")
+    return best_t

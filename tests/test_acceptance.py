@@ -58,7 +58,7 @@ def criterion(number, name):
 
 @criterion(1, "constructed set matches the brute-force oracle")
 def test_acceptance_1():
-    for F in (2, 3, 4):
+    for F in (2, 3, 4, 5):
         sset = decompose_paths(build_weighted_graph(F))
         for kind in PRESETS:
             for p in (0.1, 0.2):
@@ -68,6 +68,17 @@ def test_acceptance_1():
                     constructed = mutual_info_TY(ch, cfg, sset).i_ty
                     oracle = oracle_capacity(ch, cfg)
                     assert abs(constructed - oracle) < 1e-6, (F, kind, p, a)
+
+
+@criterion(1, "constructed set matches the brute-force oracle at F = 6")
+def test_acceptance_1_at_f6():
+    # the all-maps table would hold 162000 x 729 entries; the orbit solve lumps it to 374 x 28
+    sset = decompose_paths(build_weighted_graph(6))
+    cfg = FrameConfig(6, 0.5)
+    for kind in PRESETS:
+        ch = channel_preset(kind, 0.2)
+        oracle = oracle_capacity(ch, cfg, max_entries=200_000_000)
+        assert abs(mutual_info_TY(ch, cfg, sset).i_ty - oracle) < 1e-9, kind
 
 
 @criterion(2, "noiseless rate equals the errorless closed form")

@@ -289,6 +289,39 @@ def test_oracle_matches_errorless_when_noiseless():
     assert got == pytest.approx(errorless_capacity(cfg), abs=1e-6)
 
 
+@pytest.mark.parametrize("kind", ["erasure", "bsc", "z"])
+def test_orbit_oracle_repeats_the_all_maps_iteration(kind):
+    # the full path lumps nothing, so agreement cannot close by construction
+    for F in range(1, 6):
+        for p in (0.1, 0.2):
+            for a in (0.3, 0.5):
+                ch, cfg = channel_preset(kind, p), FrameConfig(F, a)
+                full = blahut_arimoto(equivalent_channel_matrix(ch, cfg))
+                orbits = capacity.oracle_solve(ch, cfg)
+                assert abs(orbits.capacity - full.capacity) < 1e-12, (F, p, a)
+                assert orbits.iterations == full.iterations, (F, p, a)
+
+
+@pytest.mark.parametrize("kind", ["erasure", "bsc", "z"])
+def test_orbit_channel_structure(kind):
+    ch = channel_preset(kind, 0.2)
+    counts = []
+    for F in range(1, 7):
+        orbits = capacity.orbit_channel(ch, FrameConfig(F, 0.4))
+        counts.append(len(orbits.orbit_sizes))
+        assert orbits.orbit_sizes.sum() == strategy_space_size(F)
+        assert orbits.type_sizes.sum() == ch.J**F
+        assert np.allclose(orbits.V.sum(axis=1), 1.0, atol=1e-12)
+    assert counts == [1, 1, 2, 6, 34, 374]
+
+
+def test_oracle_solve_keeps_the_all_maps_ceiling():
+    ch, cfg = channel_preset("bsc", 0.1), FrameConfig(4, 0.3)
+    with pytest.raises(OracleTooLarge, match="96 x 16 entries"):
+        capacity.oracle_solve(ch, cfg, max_entries=96 * 16 - 1)
+    assert capacity.oracle_solve(ch, cfg, max_entries=96 * 16).gap < 1e-10
+
+
 def test_sweep_point_fields():
     row = sweep_point("erasure", 0.2, 0.5, 2)
     report = secondary_capacity(channel_preset("erasure", 0.2), FrameConfig(2, 0.5))

@@ -13,7 +13,6 @@ from reorderchan import (
     conditional_entropy_given_x,
     decompose_paths,
     enumerate_weight_class,
-    frame_likelihood,
     iter_all_multisymbols,
     likelihood_rows,
     output_pmf_given_t,
@@ -119,32 +118,35 @@ def test_likelihood_rows_column_subset():
 def test_frame_likelihood_values():
     erasure = channel_preset("erasure", 0.2)
     # erasure outputs are base-3 ints: 1 reads "01", 3 reads "10", 8 reads "ee"
-    assert abs(frame_likelihood(erasure, 2, 0b01, 1) - 0.64) < 1e-15
-    assert frame_likelihood(erasure, 2, 0b01, 3) == 0.0
-    assert abs(frame_likelihood(erasure, 2, 0b01, 8) - 0.04) < 1e-15
+    assert abs(ref.frame_likelihood(erasure, 2, 0b01, 1) - 0.64) < 1e-15
+    assert ref.frame_likelihood(erasure, 2, 0b01, 3) == 0.0
+    assert abs(ref.frame_likelihood(erasure, 2, 0b01, 8) - 0.04) < 1e-15
+    assert np.allclose(likelihood_rows(erasure, 2, [0b01], [1, 3, 8]), [[0.64, 0.0, 0.04]])
     z = channel_preset("z", 0.2)
-    assert abs(frame_likelihood(z, 2, 0b11, 0b00) - 0.04) < 1e-15
-    assert frame_likelihood(z, 2, 0b00, 0b00) == 1.0
-    assert frame_likelihood(z, 2, 0b00, 0b01) == 0.0
+    assert abs(ref.frame_likelihood(z, 2, 0b11, 0b00) - 0.04) < 1e-15
+    assert ref.frame_likelihood(z, 2, 0b00, 0b00) == 1.0
+    assert ref.frame_likelihood(z, 2, 0b00, 0b01) == 0.0
 
 
 def test_frame_likelihood_matches_reference():
     for kind in ("erasure", "bsc", "z"):
         ch = channel_preset(kind, 0.3)
         rows = ref.channel_rows(kind, 0.3)
+        table = likelihood_rows(ch, 3, list(range(8)))
         for x in range(8):
             xs = symbol_string(3, x)
             for y, ys in enumerate(ref.all_outputs(kind, 3)):
-                got = frame_likelihood(ch, 3, x, y)
+                got = ref.frame_likelihood(ch, 3, x, y)
                 assert abs(got - ref.likelihood(rows, xs, ys)) < 1e-14
+                assert abs(got - table[x, y]) < 1e-14
 
 
 def test_frame_likelihood_range_checks():
     ch = channel_preset("bsc", 0.1)
     with pytest.raises(ValueError):
-        frame_likelihood(ch, 2, 4, 0)
+        ref.frame_likelihood(ch, 2, 4, 0)
     with pytest.raises(ValueError):
-        frame_likelihood(ch, 2, 0, 4)
+        ref.frame_likelihood(ch, 2, 0, 4)
 
 
 def test_conditional_entropy_given_x():

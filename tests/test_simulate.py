@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
+from reference import map_decode, transmit
 from reorderchan import (
     FrameConfig,
     build_weighted_graph,
     channel_preset,
     decompose_paths,
     encode,
-    map_decode,
     run_monte_carlo,
-    transmit,
+    state_pmf,
     weight,
 )
+from reorderchan.simulate import _decode_observed
 
 SET4 = decompose_paths(build_weighted_graph(4))
 
@@ -49,6 +50,10 @@ def test_transmit_erasure_fraction():
     assert abs(erased / n - 0.3) < 4 * np.sqrt(0.3 * 0.7 / n)
 
 
+def _decode_all(sset, ch, cfg, ys):
+    return list(_decode_observed(sset, ch, cfg, state_pmf(cfg), np.asarray(ys, dtype=np.int64)))
+
+
 def test_map_decode_noiseless_roundtrip():
     ch = channel_preset("bsc", 0.0)
     cfg = FrameConfig(4, 0.5)
@@ -60,6 +65,14 @@ def test_map_decode_noiseless_roundtrip():
             assert encode(SET4, t_hat, s) == x
 
 
+def test_map_decode_matches_vectorized_decode():
+    cfg = FrameConfig(4, 0.35)
+    for kind, p in (("erasure", 0.2), ("bsc", 0.2), ("z", 0.2), ("bsc", 0.0)):
+        ch = channel_preset(kind, p)
+        ys = range(ch.J**4)
+        assert _decode_all(SET4, ch, cfg, ys) == [map_decode(SET4, ch, cfg, y) for y in ys]
+
+
 def test_map_decode_tie_goes_to_smallest_index():
     ch = channel_preset("bsc", 0.0)
     cfg = FrameConfig(4, 0.5)
@@ -67,6 +80,8 @@ def test_map_decode_tie_goes_to_smallest_index():
     assert map_decode(SET4, ch, cfg, 15) == 0
     erased = channel_preset("erasure", 0.4)
     assert map_decode(SET4, erased, cfg, 3**4 - 1) == 0
+    assert _decode_all(SET4, ch, cfg, [0, 15]) == [0, 0]
+    assert _decode_all(SET4, erased, cfg, [3**4 - 1]) == [0]
 
 
 def test_map_decode_rejects_impossible_output():
@@ -75,6 +90,8 @@ def test_map_decode_rejects_impossible_output():
     sset = decompose_paths(build_weighted_graph(2))
     with pytest.raises(ValueError):
         map_decode(sset, ch, cfg, 0)
+    with pytest.raises(ValueError):
+        _decode_all(sset, ch, cfg, [0])
 
 
 def test_run_monte_carlo_is_deterministic():
