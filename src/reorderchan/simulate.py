@@ -14,6 +14,11 @@ from .capacity import mutual_info_TY
 from .frame_space import likelihood_rows, mix_states, output_string, state_pmf, symbol_string
 from .strategy import strategy_table
 
+# n_frames x F noise uniforms drawn at once: 2^27 float64 entries is 1 GiB
+MAX_NOISE_DRAWS = 1 << 27
+# trace rows formatted per writelines call, which bounds the writer's strings
+TRACE_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class SimReport:
@@ -68,9 +73,11 @@ def run_monte_carlo(channel, config, sset, n_frames, seed, trace=None):
     about 0.9 bits. Pass trace as a path or file object to dump per-frame
     records.
     """
+    F, J = config.F, channel.J
     if n_frames < 1:
         raise ValueError("n_frames must be positive")
-    F, J = config.F, channel.J
+    if n_frames * F > MAX_NOISE_DRAWS:
+        raise ValueError(f"{n_frames} frames x F = {F} noise draws exceed {MAX_NOISE_DRAWS}")
     rng = np.random.Generator(np.random.PCG64(seed))
     pmf_s = state_pmf(config)
     pmf_t = np.asarray(sset.pmf)
@@ -80,21 +87,18 @@ def run_monte_carlo(channel, config, sset, n_frames, seed, trace=None):
     s_draw = np.minimum(s_draw, F)
     t_draw = np.searchsorted(np.cumsum(pmf_t), rng.random(n_frames), side="right")
     t_draw = np.minimum(t_draw, n_t - 1)
-    reps, _, _ = strategy_table(sset)
+    reps, used, rep_idx = strategy_table(sset)
     x = reps[t_draw, s_draw]
 
-    shifts = np.arange(F - 1, -1, -1, dtype=np.int64)
-    bits = (x[:, None] >> shifts) & 1
+    # letter = min(searchsorted(cum[bit], u, "right"), J - 1), summed into y by Horner's rule
     cum = np.cumsum(channel.matrix(), axis=1)
     u = rng.random((n_frames, F))
-    letters = np.where(
-        bits == 1,
-        np.searchsorted(cum[1], u.ravel(), side="right").reshape(u.shape),
-        np.searchsorted(cum[0], u.ravel(), side="right").reshape(u.shape),
-    )
-    letters = np.minimum(letters, J - 1)
-    powers = J ** np.arange(F - 1, -1, -1, dtype=np.int64)
-    y = letters @ powers
+    y = np.zeros(n_frames, dtype=np.int64)
+    for f in range(F):
+        bit = ((x >> (F - 1 - f)) & 1).astype(bool)
+        y *= J
+        for j in range(J - 1):
+            y += u[:, f] >= np.where(bit, cum[1, j], cum[0, j])
 
     uniq_y, inverse = np.unique(y, return_inverse=True)
     t_hat = _decode_observed(sset, channel, config, pmf_s, uniq_y)[inverse]
@@ -112,19 +116,19 @@ def run_monte_carlo(channel, config, sset, n_frames, seed, trace=None):
     analytical = mutual_info_TY(channel, config, sset).i_ty
 
     if trace is not None:
-        fh = trace
-        close = isinstance(trace, (str, os.PathLike))
-        if close:
-            fh = open(trace, "w")
+        fh = open(trace, "w") if isinstance(trace, (str, os.PathLike)) else trace
         try:
             fh.write("frame,s,t,x,y,t_hat\n")
-            for i in range(n_frames):
-                fh.write(
-                    f"{i},{s_draw[i]},{t_draw[i]},{symbol_string(F, int(x[i]))},"
-                    f"{output_string(F, int(y[i]), channel)},{t_hat[i]}\n"
-                )
+            x_text = np.array([symbol_string(F, v) for v in used.tolist()], dtype=object)
+            y_text = np.array([output_string(F, v, channel) for v in uniq_y.tolist()], dtype=object)
+            row = "{},{},{},{},{},{}\n".format
+            for lo in range(0, n_frames, TRACE_CHUNK):
+                part = slice(lo, lo + TRACE_CHUNK)
+                s_c, t_c = s_draw[part], t_draw[part]
+                cols = (s_c, t_c, x_text[rep_idx[t_c, s_c]], y_text[inverse[part]], t_hat[part])
+                fh.writelines(map(row, range(lo, n_frames), *(c.tolist() for c in cols)))
         finally:
-            if close:
+            if fh is not trace:
                 fh.close()
 
     return SimReport(

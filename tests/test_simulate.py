@@ -1,8 +1,13 @@
+import hashlib
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from reference import map_decode, transmit
 from reorderchan import (
+    BinaryInputChannel,
     FrameConfig,
     build_weighted_graph,
     channel_preset,
@@ -12,7 +17,8 @@ from reorderchan import (
     state_pmf,
     weight,
 )
-from reorderchan.simulate import _decode_observed
+from reorderchan.cli import fmt, run_cli
+from reorderchan.simulate import MAX_NOISE_DRAWS, _decode_observed
 
 SET4 = decompose_paths(build_weighted_graph(4))
 
@@ -187,3 +193,143 @@ def test_trace_is_reproducible(tmp_path):
     run_monte_carlo(ch, cfg, sset, 300, 17, trace=str(p1))
     run_monte_carlo(ch, cfg, sset, 300, 17, trace=str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# q0's float cumsum ends at 0.9999999999999999, so a uniform can land past it
+FOUR_LETTERS = BinaryInputChannel((0.4, 0.3, 0.2, 0.1), (0.1, 0.1, 0.1, 0.7), "abcd")
+
+# sha256 of `simulate` stdout plus trace bytes. A seed fixes these bytes, so a
+# change that moves any of them breaks the seed contract and must say so.
+# Each CLI digest covers p in (0, 0.2, 1) x seeds (3, 11), 600 frames, a = 0.4.
+GOLDEN_CLI = {
+    ("erasure", 1): "92a587d9187a7539eb55cae9594121f90c2c8f7afd56b46abfd70bd3b1496fbf",
+    ("erasure", 3): "039673a4b19bbd862e3bf0f7367d8599e8cbcd23b67f047b2fbaa7a78e86d486",
+    ("erasure", 6): "58f40cb0e5cc7c5ae523e397ad41840842e5a6befcec745d39def7e70f7a22e3",
+    ("erasure", 8): "4ec5683eea4b4f3d41e1743607e51e9bf0a697a838c5654caeec8d783cdca8d5",
+    ("bsc", 1): "80fab1caa12b7c5ceb1740b13d3d1b0e4a18bd098819713c2e29f6a30cc5d0fb",
+    ("bsc", 3): "b04f9f4563425e670d6f87deeb51cdb4c7d5a6ce2239108d087a26caa170539b",
+    ("bsc", 6): "81705e9e39ebc4cb49f701b20a6ccc0f9cb5fe909f23ef4726e02ad8a2560a6d",
+    ("bsc", 8): "3261880dc25cf4efb14d277e0376583e55b3a8534b5207f955aa17e68a429204",
+    ("z", 1): "e1ec1a3199d1acb2450f2d5eab2cc3f3c1a9425565a6f6de8b3e78d1ecda7a41",
+    ("z", 3): "c59456a4ed394ca40173ce90ae15dd440c003e86090464ba5d5022eb45aa8374",
+    ("z", 6): "c222a045935c3f1dd320766bc87e29686ebb208979a4ca0b613b35b2badbb5bf",
+    ("z", 8): "7f420fe888c6b14b8ce39ca96f48ad34b3add967e6ee5eede9ca111fe7bce2d7",
+}
+GOLDEN_LIBRARY = {
+    "four_letters": "b58e35567d5f8a7550e56251a1c7f276d66347da06565287bd63e7de82b09d97",
+    "past_one_chunk": "af24fbf6796bdacc578936bb916a12b8f3371f7b58779d2dd4f173aa67f1d60d",
+}
+
+
+def _cli_digest(tmp_path, capsys, preset, F):
+    digest = hashlib.sha256()
+    for p in ("0", "0.2", "1"):
+        for seed in ("3", "11"):
+            path = tmp_path / f"{preset}-{F}-{p}-{seed}.csv"
+            argv = ["simulate", "--preset", preset, "--p", p, "--a", "0.4", "--F", str(F)]
+            assert run_cli(argv + ["--frames", "600", "--seed", seed, "--trace", str(path)]) == 0
+            digest.update(capsys.readouterr().out.encode())
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def _library_run(ch, F, a, n_frames, seed):
+    """(report, trace text) of one library run with the constructed set."""
+    buf = io.StringIO()
+    sset = decompose_paths(build_weighted_graph(F))
+    report = run_monte_carlo(ch, FrameConfig(F, a), sset, n_frames, seed, trace=buf)
+    return report, buf.getvalue()
+
+
+LIBRARY_RUNS = {
+    "four_letters": (FOUR_LETTERS, 4, 0.35, 3000, 5),
+    "past_one_chunk": (channel_preset("erasure", 0.3), 2, 0.45, 70_000, 8),
+}
+
+
+def _library_digest(name):
+    report, text = _library_run(*LIBRARY_RUNS[name])
+    numbers = [report.frames, report.symbol_errors, report.empirical_mi, report.analytical_mi]
+    head = " ".join(fmt(v) for v in numbers) + "\n"
+    return hashlib.sha256((head + text).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("preset", ["erasure", "bsc", "z"])
+@pytest.mark.parametrize("F", [1, 3, 6, 8])
+def test_simulate_cli_keeps_the_seed_contract(tmp_path, capsys, preset, F):
+    assert _cli_digest(tmp_path, capsys, preset, F) == GOLDEN_CLI[preset, F]
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_RUNS))
+def test_simulate_library_keeps_the_seed_contract(name):
+    assert np.cumsum(FOUR_LETTERS.matrix(), axis=1)[0, -1] < 1.0
+    assert _library_digest(name) == GOLDEN_LIBRARY[name]
+
+
+def _replayed_outputs(ch, F, xs, n_frames, seed):
+    """Outputs tests/reference.py's transmit draws for xs from the run's noise stream."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rng.random(n_frames)  # state draws
+    rng.random(n_frames)  # strategy draws
+    return [transmit(ch, F, x, rng) for x in xs]
+
+
+NOISE_CASES = {f"{kind}-{p}": (kind, p) for kind in ("erasure", "bsc", "z") for p in (0.0, 0.2, 1.0)}
+
+
+@pytest.mark.parametrize("name", [*NOISE_CASES, "four_letters"])
+def test_noise_matches_the_reference_transmit(name):
+    ch = channel_preset(*NOISE_CASES[name]) if name in NOISE_CASES else FOUR_LETTERS
+    F, n_frames, seed = 5, 400, 23
+    _, text = _library_run(ch, F, 0.45, n_frames, seed)
+    letter = {label: j for j, label in enumerate(ch.output_labels)}
+    xs, ys = [], []
+    for line in text.splitlines()[1:]:
+        _, _, _, x, y, _ = line.split(",")
+        xs.append(int(x, 2))
+        value = 0
+        for label in y:
+            value = value * ch.J + letter[label]
+        ys.append(value)
+    assert len(ys) == n_frames
+    assert ys == _replayed_outputs(ch, F, xs, n_frames, seed)
+
+
+def test_trace_to_file_object_matches_trace_to_path(tmp_path):
+    ch, F, a, n_frames, seed = LIBRARY_RUNS["past_one_chunk"]
+    assert n_frames > 1 << 16
+    sset = decompose_paths(build_weighted_graph(F))
+    path = tmp_path / "trace.csv"
+    report = run_monte_carlo(ch, FrameConfig(F, a), sset, n_frames, seed, trace=str(path))
+    again, text = _library_run(ch, F, a, n_frames, seed)
+    assert again == report
+    assert path.read_text() == text
+    lines = text.splitlines()
+    assert len(lines) == n_frames + 1
+    assert [int(line.split(",", 1)[0]) for line in lines[1:]] == list(range(n_frames))
+
+
+def test_run_monte_carlo_refuses_oversized_draws():
+    ch = channel_preset("bsc", 0.1)
+    F = 6
+    sset = decompose_paths(build_weighted_graph(F))
+    n_frames = MAX_NOISE_DRAWS // F + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"{n_frames} frames"):
+            run_monte_carlo(ch, FrameConfig(F, 0.5), sset, n_frames, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_simulate_cli_refuses_oversized_draws(capsys):
+    F = 3
+    n_frames = MAX_NOISE_DRAWS // F + 1
+    argv = ["simulate", "--preset", "z", "--p", "0.1", "--a", "0.5", "--F", str(F)]
+    assert run_cli(argv + ["--frames", str(n_frames)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(n_frames) in captured.err
