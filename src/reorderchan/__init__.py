@@ -1,21 +1,18 @@
-"""Capacity and coding strategies for the packet-reordering secondary channel."""
+"""Capacity and coding strategies for the packet-reordering secondary channel.
+
+The public API is `__all__`; every other name lives in its module.
+"""
 
 from .capacity import (
-    BAResult,
-    CapacityReport,
     OracleTooLarge,
-    SweepRow,
     blahut_arimoto,
     c_xy,
-    equivalent_channel_matrix,
     errorless_capacity,
     mutual_info_TY,
     oracle_capacity,
-    oracle_entry_limit,
     outer_bound,
     secondary_capacity,
     single_use_mutual_info,
-    strategy_space_size,
     sweep_point,
     z_fixed_input_capacity,
     z_point_capacity,
@@ -29,38 +26,22 @@ from .channel import (
 )
 from .frame_space import (
     FrameConfig,
-    bits_matrix,
-    conditional_entropy_given_x,
     enumerate_weight_class,
     likelihood_rows,
-    output_digits,
-    output_string,
     state_pmf,
-    symbol_from_string,
-    symbol_string,
     weight,
 )
 from .multisymbol import (
     Multisymbol,
-    agreement_counts,
     basic_multisymbol,
-    entropy_output_given_t,
     is_minimal,
-    iter_all_multisymbols,
-    mixture_output_pmf,
-    multisymbol_from_strings,
     multisymbol_strings,
-    mutual_info_within,
-    output_pmf_given_t,
     permute,
-    positionwise_entropy_bound,
 )
-from .simulate import SimReport, encode, run_monte_carlo
+from .simulate import run_monte_carlo
 from .strategy import (
-    LayeredGraph,
     StrategySet,
     build_weighted_graph,
-    covering_successors,
     decompose_paths,
     full_permutation_set,
     induced_input_pmf,
@@ -69,62 +50,38 @@ from .strategy import (
 )
 
 __all__ = [
-    "BAResult",
     "BinaryInputChannel",
-    "CapacityReport",
     "FrameConfig",
-    "LayeredGraph",
     "Multisymbol",
     "OracleTooLarge",
-    "SimReport",
     "StrategySet",
-    "SweepRow",
-    "agreement_counts",
     "basic_multisymbol",
     "binary_entropy",
-    "bits_matrix",
     "blahut_arimoto",
     "build_weighted_graph",
     "c_xy",
     "channel_preset",
-    "conditional_entropy_given_x",
-    "covering_successors",
     "decompose_paths",
-    "encode",
     "entropy_bits",
-    "entropy_output_given_t",
     "enumerate_weight_class",
-    "equivalent_channel_matrix",
     "errorless_capacity",
     "full_permutation_set",
     "induced_input_pmf",
     "is_minimal",
-    "iter_all_multisymbols",
     "lcm_binomials",
     "likelihood_rows",
-    "mixture_output_pmf",
-    "multisymbol_from_strings",
     "multisymbol_strings",
     "mutual_info_TY",
-    "mutual_info_within",
     "oracle_capacity",
-    "oracle_entry_limit",
     "outer_bound",
-    "output_digits",
-    "output_pmf_given_t",
-    "output_string",
     "permute",
-    "positionwise_entropy_bound",
     "representative_multiplicity",
     "row_entropy",
     "run_monte_carlo",
     "secondary_capacity",
     "single_use_mutual_info",
     "state_pmf",
-    "strategy_space_size",
     "sweep_point",
-    "symbol_from_string",
-    "symbol_string",
     "weight",
     "z_fixed_input_capacity",
     "z_point_capacity",

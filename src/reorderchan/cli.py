@@ -13,7 +13,7 @@ from .capacity import (
     sweep_point,
 )
 from .channel import PRESET_KINDS, channel_preset
-from .frame_space import FrameConfig, check_frame_len
+from .frame_space import MAX_FRAME_LEN, FrameConfig, check_frame_len
 from .multisymbol import multisymbol_strings
 from .simulate import run_monte_carlo
 from .strategy import build_weighted_graph, decompose_paths
@@ -37,6 +37,8 @@ class SweepSpec:
         for v in self.p_values + self.a_values:
             if not 0.0 <= v <= 1.0:
                 raise ValueError("probabilities must be in [0, 1]")
+        for F in self.f_values:
+            check_frame_len(F)
 
 
 def fmt(v):
@@ -48,8 +50,10 @@ def parse_f_values(text):
     vals = []
     for part in text.split(","):
         if ".." in part:
-            lo, hi = part.split("..", 1)
-            vals.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(v) for v in part.split("..", 1))
+            if not 1 <= lo <= hi <= MAX_FRAME_LEN:
+                raise ValueError(f"F span {part} must run upward within 1..{MAX_FRAME_LEN}")
+            vals.extend(range(lo, hi + 1))
         else:
             vals.append(int(part))
     if not vals:

@@ -11,8 +11,6 @@ from math import comb
 
 import numpy as np
 
-from .channel import row_entropy
-
 MAX_FRAME_LEN = 20
 
 
@@ -49,11 +47,6 @@ def weight(x):
 def symbol_string(F, x):
     """Render a frame symbol as a bit string, leftmost position first."""
     return format(x, f"0{F}b")
-
-
-def symbol_from_string(bits):
-    """Parse a printed bit string back into a frame symbol."""
-    return int(bits, 2)
 
 
 def output_string(F, y, channel):
@@ -133,13 +126,3 @@ def mix_states(rows, rep_idx, pmf_s):
         term *= p
         out += term
     return out
-
-
-def conditional_entropy_given_x(channel, F, x):
-    """Output entropy given the sent symbol: weight * H(q1) + (F - weight) * H(q0).
-
-    The per-packet noise terms add because the packets see independent
-    channel uses, so only the weight of x matters.
-    """
-    s = weight(x)
-    return s * row_entropy(channel, 1) + (F - s) * row_entropy(channel, 0)

@@ -7,20 +7,8 @@ their weight gap allows.
 """
 
 from dataclasses import dataclass
-from itertools import product
 
-import numpy as np
-
-from .channel import entropy_bits
-from .frame_space import (
-    conditional_entropy_given_x,
-    enumerate_weight_class,
-    likelihood_rows,
-    state_pmf,
-    symbol_from_string,
-    symbol_string,
-    weight,
-)
+from .frame_space import symbol_string, weight
 
 
 @dataclass(frozen=True)
@@ -72,70 +60,6 @@ def is_minimal(m):
     return True
 
 
-def agreement_counts(F, x1, x2):
-    """Counts (g00, g01, g10, g11) of positions where (x1, x2) show each bit pair."""
-    mask = (1 << F) - 1
-    g11 = weight(x1 & x2)
-    g10 = weight(x1 & ~x2 & mask)
-    g01 = weight(~x1 & x2 & mask)
-    return F - g11 - g10 - g01, g01, g10, g11
-
-
-def mixture_output_pmf(channel, F, xs, weights):
-    """Output distribution of a symbol mixture: sum_i w_i P(. | x_i)."""
-    rows = likelihood_rows(channel, F, list(xs))
-    return np.asarray(weights, dtype=float) @ rows
-
-
-def output_pmf_given_t(channel, config, m):
-    """Output distribution of one strategy with states drawn from the frame law."""
-    return mixture_output_pmf(channel, config.F, m.reps, state_pmf(config))
-
-
-def entropy_output_given_t(channel, config, m):
-    """Exact output entropy of one strategy, by enumerating the output space."""
-    return entropy_bits(output_pmf_given_t(channel, config, m))
-
-
-def positionwise_entropy_bound(channel, config, m):
-    """Sum of per-position output entropies.
-
-    Upper-bounds the exact output entropy: the state mixture correlates the
-    positions, and the sum only matches when at most one position varies or
-    the state is deterministic.
-    """
-    pmf = state_pmf(config)
-    qmat = channel.matrix()
-    total = 0.0
-    for f in range(config.F):
-        bits = [(x >> (config.F - 1 - f)) & 1 for x in m.reps]
-        total += entropy_bits(pmf @ qmat[bits])
-    return total
-
-
-def mutual_info_within(channel, config, m):
-    """Information the output carries about the symbol inside one strategy."""
-    pmf = state_pmf(config)
-    noise = sum(
-        pmf[s] * conditional_entropy_given_x(channel, config.F, m.reps[s])
-        for s in range(config.F + 1)
-    )
-    return entropy_output_given_t(channel, config, m) - noise
-
-
 def multisymbol_strings(m):
     """Representatives as printed bit strings, state 0 first."""
     return [symbol_string(m.F, x) for x in m.reps]
-
-
-def multisymbol_from_strings(strings):
-    """Rebuild a multisymbol from its printed bit strings."""
-    F = len(strings[0])
-    return Multisymbol(F, tuple(symbol_from_string(b) for b in strings))
-
-
-def iter_all_multisymbols(F):
-    """Every choice of one representative per weight class (grows fast with F)."""
-    classes = [enumerate_weight_class(F, s) for s in range(F + 1)]
-    for reps in product(*classes):
-        yield Multisymbol(F, reps)

@@ -31,16 +31,6 @@ class SimReport:
     seed: int
 
 
-def encode(sset, t, s):
-    """Frame symbol sent by strategy t when the frame is in state s."""
-    if not 0 <= t < len(sset.multisymbols):
-        raise ValueError("strategy index out of range")
-    m = sset.multisymbols[t]
-    if not 0 <= s <= m.F:
-        raise ValueError("state out of range")
-    return m.reps[s]
-
-
 def _decode_observed(sset, channel, config, pmf_s, uniq_y):
     """MAP strategy index for each observed output, smallest index on ties."""
     _, used, rep_idx = strategy_table(sset)

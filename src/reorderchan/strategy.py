@@ -240,9 +240,7 @@ def induced_input_pmf(sset, config):
     """Input law the set induces: each strategy sends its state-s representative."""
     if sset.F != config.F:
         raise ValueError("strategy set and frame config disagree on F")
-    pmf_s = state_pmf(config)
-    out = np.zeros(1 << config.F)
-    for m, w in zip(sset.multisymbols, sset.pmf):
-        for s, x in enumerate(m.reps):
-            out[x] += w * pmf_s[s]
-    return out
+    reps, _, _ = strategy_table(sset)
+    # bincount adds in input order: strategy by strategy, states ascending
+    mass = np.asarray(sset.pmf)[:, None] * state_pmf(config)
+    return np.bincount(reps.ravel(), weights=mass.ravel(), minlength=1 << config.F)

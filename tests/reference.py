@@ -78,6 +78,21 @@ def strategy_mutual_info(kind, p, a, reps):
     return strategy_output_entropy(kind, p, a, reps) - noise
 
 
+def positionwise_entropy_sum(kind, p, a, reps):
+    """Sum over positions of the output-letter entropy there, states mixed by the frame law."""
+    rows = channel_rows(kind, p)
+    F = len(reps) - 1
+    probs = state_probs(F, a)
+    total = 0.0
+    for f in range(F):
+        letter_law = {}
+        for s in range(F + 1):
+            for letter, q in rows[reps[s][f]].items():
+                letter_law[letter] = letter_law.get(letter, 0.0) + probs[s] * q
+        total += entropy(letter_law.values())
+    return total
+
+
 def mutual_information(joint):
     """I(U;V) in bits from a joint dict {(u, v): prob}."""
     pu, pv = {}, {}

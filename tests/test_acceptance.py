@@ -17,25 +17,25 @@ from reorderchan import (
     build_weighted_graph,
     c_xy,
     channel_preset,
-    conditional_entropy_given_x,
     decompose_paths,
-    entropy_output_given_t,
+    entropy_bits,
     enumerate_weight_class,
     errorless_capacity,
     is_minimal,
-    iter_all_multisymbols,
     lcm_binomials,
+    likelihood_rows,
+    multisymbol_strings,
     mutual_info_TY,
-    mutual_info_within,
     oracle_capacity,
-    positionwise_entropy_bound,
     representative_multiplicity,
     run_monte_carlo,
+    state_pmf,
     sweep_point,
-    symbol_string,
     z_fixed_input_capacity,
     z_point_capacity,
 )
+from reorderchan.capacity import _all_maps
+from reorderchan.frame_space import symbol_string
 
 PRESETS = ("erasure", "bsc", "z")
 
@@ -133,21 +133,23 @@ def test_acceptance_4():
             for p in (0.1, 0.3):
                 ch = channel_preset(kind, p)
                 for x in range(1 << F):
-                    got = conditional_entropy_given_x(ch, F, x)
+                    got = entropy_bits(likelihood_rows(ch, F, [x]))
                     want = ref.conditional_output_entropy(kind, p, symbol_string(F, x))
                     assert abs(got - want) < 1e-10, (F, kind, p, x)
 
 
 @criterion(5, "minimal multisymbols attain the least output entropy")
 def test_acceptance_5():
-    all3 = list(iter_all_multisymbols(3))
+    all3 = [Multisymbol(3, tuple(row)) for row in _all_maps(3)]
     for kind in PRESETS:
         for p in (0.1, 0.3):
             ch = channel_preset(kind, p)
             for a in (0.3, 0.5):
                 cfg = FrameConfig(3, a)
-                ents = [entropy_output_given_t(ch, cfg, m) for m in all3]
-                within = [mutual_info_within(ch, cfg, m) for m in all3]
+                ents = [output_entropy(ch, cfg, m) for m in all3]
+                within = [
+                    ref.strategy_mutual_info(kind, p, a, multisymbol_strings(m)) for m in all3
+                ]
                 best = min(ents)
                 minimal_ents = [e for e, m in zip(ents, all3) if is_minimal(m)]
                 other_ents = [e for e, m in zip(ents, all3) if not is_minimal(m)]
@@ -187,19 +189,26 @@ def test_acceptance_7():
     for _ in range(1000):
         F = int(rng.integers(1, 6))
         kind = PRESETS[rng.integers(0, 3)]
-        ch = channel_preset(kind, float(rng.random()))
+        p = float(rng.random())
         cfg = FrameConfig(F, float(rng.random()))
         m = random_multisymbol(F, rng)
-        exact = entropy_output_given_t(ch, cfg, m)
-        assert positionwise_entropy_bound(ch, cfg, m) >= exact - 1e-10
+        exact = output_entropy(channel_preset(kind, p), cfg, m)
+        split = ref.positionwise_entropy_sum(kind, p, cfg.a, multisymbol_strings(m))
+        assert split >= exact - 1e-10
     for _ in range(100):
         F = int(rng.integers(1, 6))
         kind = PRESETS[rng.integers(0, 3)]
-        ch = channel_preset(kind, float(rng.random()))
+        p = float(rng.random())
         cfg = FrameConfig(F, float(rng.integers(0, 2)))
         m = random_multisymbol(F, rng)
-        exact = entropy_output_given_t(ch, cfg, m)
-        assert abs(positionwise_entropy_bound(ch, cfg, m) - exact) < 1e-10
+        exact = output_entropy(channel_preset(kind, p), cfg, m)
+        split = ref.positionwise_entropy_sum(kind, p, cfg.a, multisymbol_strings(m))
+        assert abs(split - exact) < 1e-10
+
+
+def output_entropy(ch, cfg, m):
+    """H(Y | t) of one strategy, through the package's one likelihood path."""
+    return entropy_bits(state_pmf(cfg) @ likelihood_rows(ch, cfg.F, list(m.reps)))
 
 
 def random_multisymbol(F, rng):

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import reorderchan
+from reorderchan import cli
 from reorderchan import (
     FrameConfig,
     channel_preset,
@@ -41,6 +42,10 @@ def test_parse_f_values():
     assert parse_f_values("1,3..5,8") == [1, 3, 4, 5, 8]
     with pytest.raises(ValueError):
         parse_f_values("x")
+    # spans are refused before they are expanded
+    for bad in ("1..1000000000000", "0..3", "5..3"):
+        with pytest.raises(ValueError):
+            parse_f_values(bad)
 
 
 def test_parse_prob_list():
@@ -54,6 +59,8 @@ def test_sweep_spec_validation():
         SweepSpec("erasure", [], [0.5], [2])
     with pytest.raises(ValueError):
         SweepSpec("erasure", [1.5], [0.5], [2])
+    with pytest.raises(ValueError):
+        SweepSpec("erasure", [0.2], [0.5], [14, 21])
 
 
 def test_fmt_significant_digits():
@@ -278,6 +285,19 @@ def test_construct_rejects_out_of_range_f(capsys, F):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: F must be an integer in 1..20\n"
+
+
+@pytest.mark.parametrize("F", ["1..1000000000000", "14,21"])
+def test_sweep_rejects_bad_f_before_any_work(capsys, monkeypatch, F):
+    def never(*args, **kwargs):
+        raise AssertionError("sweep evaluated a point before validating F")
+
+    monkeypatch.setattr(cli, "sweep_point", never)
+    assert run_cli(["sweep", "--preset", "erasure", "--p", "0.2", "--a", "0.5", "--F", F]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

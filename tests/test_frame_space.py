@@ -6,23 +6,20 @@ import pytest
 import reference as ref
 from reorderchan import (
     FrameConfig,
+    Multisymbol,
     StrategySet,
     binary_entropy,
     build_weighted_graph,
     channel_preset,
-    conditional_entropy_given_x,
     decompose_paths,
+    entropy_bits,
     enumerate_weight_class,
-    iter_all_multisymbols,
     likelihood_rows,
-    output_pmf_given_t,
-    output_string,
     state_pmf,
-    symbol_from_string,
-    symbol_string,
     weight,
 )
-from reorderchan.frame_space import mix_states
+from reorderchan.capacity import _all_maps
+from reorderchan.frame_space import mix_states, output_string, symbol_string
 from reorderchan.strategy import strategy_table
 
 
@@ -63,9 +60,8 @@ def test_weight():
 def test_symbol_strings():
     assert symbol_string(4, 6) == "0110"
     assert symbol_string(3, 0) == "000"
-    assert symbol_from_string("0110") == 6
     for x in range(16):
-        assert symbol_from_string(symbol_string(4, x)) == x
+        assert int(symbol_string(4, x), 2) == x
 
 
 def test_output_string():
@@ -149,28 +145,33 @@ def test_frame_likelihood_range_checks():
         ref.frame_likelihood(ch, 2, 0, 4)
 
 
+def noise_entropies(ch, F):
+    """H(Y | x) for every frame symbol x, as row entropies of the likelihood slab."""
+    return entropy_bits(likelihood_rows(ch, F, list(range(1 << F))))
+
+
 def test_conditional_entropy_given_x():
-    noiseless = channel_preset("bsc", 0.0)
-    assert conditional_entropy_given_x(noiseless, 4, 0b1010) == 0.0
-    erasure = channel_preset("erasure", 0.3)
+    assert noise_entropies(channel_preset("bsc", 0.0), 4)[0b1010] == 0.0
+    erasure = noise_entropies(channel_preset("erasure", 0.3), 4)
     for x in range(16):
-        assert abs(conditional_entropy_given_x(erasure, 4, x) - 4 * binary_entropy(0.3)) < 1e-12
-    z = channel_preset("z", 0.2)
+        assert abs(erasure[x] - 4 * binary_entropy(0.3)) < 1e-12
+    z = noise_entropies(channel_preset("z", 0.2), 4)
     for x in range(16):
         expect = weight(x) * binary_entropy(0.2)
-        assert abs(conditional_entropy_given_x(z, 4, x) - expect) < 1e-12
+        assert abs(z[x] - expect) < 1e-12
 
 
 def test_conditional_entropy_matches_enumeration():
     for kind in ("erasure", "bsc", "z"):
+        ents = noise_entropies(channel_preset(kind, 0.3), 3)
         for x in range(8):
-            got = conditional_entropy_given_x(channel_preset(kind, 0.3), 3, x)
+            got = ents[x]
             want = ref.conditional_output_entropy(kind, 0.3, symbol_string(3, x))
             assert abs(got - want) < 1e-12
 
 
 def test_mix_states_matches_each_strategy_law():
-    all_maps = list(iter_all_multisymbols(3))
+    all_maps = [Multisymbol(3, tuple(row)) for row in _all_maps(3)]
     sets = (
         decompose_paths(build_weighted_graph(4)),
         StrategySet(tuple(all_maps), tuple(1.0 / len(all_maps) for _ in all_maps)),
@@ -183,4 +184,5 @@ def test_mix_states_matches_each_strategy_law():
             mixed = mix_states(likelihood_rows(ch, sset.F, used), rep_idx, state_pmf(cfg))
             assert mixed.shape == (len(sset), ch.J**sset.F)
             for row, m in zip(mixed, sset.multisymbols):
-                assert np.max(np.abs(row - output_pmf_given_t(ch, cfg, m))) <= 1e-15
+                law = state_pmf(cfg) @ likelihood_rows(ch, sset.F, list(m.reps))
+                assert np.max(np.abs(row - law)) <= 1e-15

@@ -12,7 +12,6 @@ from reorderchan import (
     build_weighted_graph,
     channel_preset,
     decompose_paths,
-    encode,
     run_monte_carlo,
     state_pmf,
     weight,
@@ -24,13 +23,10 @@ SET4 = decompose_paths(build_weighted_graph(4))
 
 
 def test_encode():
-    assert [encode(SET4, 0, s) for s in range(5)] == [0, 1, 3, 7, 15]
-    assert encode(SET4, 0, 0) == 0
-    assert encode(SET4, 3, 4) == 15
-    with pytest.raises(ValueError):
-        encode(SET4, 12, 2)
-    with pytest.raises(ValueError):
-        encode(SET4, 0, 5)
+    # strategy t sends reps[s] in state s
+    assert [SET4.multisymbols[0].reps[s] for s in range(5)] == [0, 1, 3, 7, 15]
+    assert SET4.multisymbols[0].reps[0] == 0
+    assert SET4.multisymbols[3].reps[4] == 15
 
 
 def test_transmit_noiseless():
@@ -65,10 +61,10 @@ def test_map_decode_noiseless_roundtrip():
     cfg = FrameConfig(4, 0.5)
     for t in range(len(SET4)):
         for s in range(5):
-            x = encode(SET4, t, s)
+            x = SET4.multisymbols[t].reps[s]
             t_hat = map_decode(SET4, ch, cfg, x)
             # states 0 and 4 are shared, so only the sent symbol must match
-            assert encode(SET4, t_hat, s) == x
+            assert SET4.multisymbols[t_hat].reps[s] == x
 
 
 def test_map_decode_matches_vectorized_decode():
@@ -165,7 +161,7 @@ def test_trace_file(tmp_path):
         assert len(x) == 3 and set(x) <= {"0", "1"}
         assert len(y) == 3 and set(y) <= {"0", "1", "e"}
         assert weight(int(x, 2)) == int(s)
-        assert encode(sset, int(t), int(s)) == int(x, 2)
+        assert sset.multisymbols[int(t)].reps[int(s)] == int(x, 2)
         assert 0 <= int(t_hat) < 3
 
 

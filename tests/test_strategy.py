@@ -6,11 +6,12 @@ import pytest
 
 from reorderchan import (
     FrameConfig,
+    Multisymbol,
     StrategySet,
     basic_multisymbol,
     build_weighted_graph,
-    covering_successors,
     decompose_paths,
+    enumerate_weight_class,
     full_permutation_set,
     induced_input_pmf,
     is_minimal,
@@ -19,7 +20,7 @@ from reorderchan import (
     state_pmf,
     weight,
 )
-from reorderchan.strategy import strategy_table
+from reorderchan.strategy import covering_successors, strategy_table
 
 LCM_TABLE = {1: 1, 2: 2, 3: 3, 4: 12, 5: 10, 6: 60, 7: 105, 8: 280, 9: 252, 10: 2520}
 
@@ -197,6 +198,26 @@ def test_induced_input_pmf_single_strategy():
     pmf_s = state_pmf(cfg)
     assert np.allclose([p_x[0], p_x[1], p_x[3], p_x[7]], pmf_s)
     assert p_x[2] == 0.0
+
+
+def test_induced_input_pmf_matches_plain_accumulation():
+    # a random set reuses symbols under a non-uniform law, so the order of the adds shows
+    rng = np.random.default_rng(7)
+    F = 5
+    classes = [enumerate_weight_class(F, s) for s in range(F + 1)]
+    multis = [
+        Multisymbol(F, tuple(c[rng.integers(len(c))] for c in classes)) for _ in range(40)
+    ]
+    law = rng.dirichlet(np.ones(len(multis)))
+    sset = StrategySet(tuple(multis), tuple(law / law.sum()))
+    for a in (0.0, 0.3, 0.77):
+        cfg = FrameConfig(F, a)
+        pmf_s = state_pmf(cfg)
+        want = [0.0] * (1 << F)
+        for m, w in zip(sset.multisymbols, sset.pmf):
+            for s, x in enumerate(m.reps):
+                want[x] += w * pmf_s[s]
+        assert np.array_equal(induced_input_pmf(sset, cfg), want)
 
 
 def test_induced_input_pmf_checks_f():
