@@ -265,10 +265,9 @@ def oracle_entry_limit():
     return limit
 
 
-def _check_oracle_size(F, J, max_entries):
+def _check_oracle_size(F, J):
     """Refuse an oracle whose all-maps table, n_maps x J^F, would pass the ceiling."""
-    if max_entries is None:
-        max_entries = oracle_entry_limit()
+    max_entries = oracle_entry_limit()
     n_t = strategy_space_size(F)
     n_y = J**F
     if n_t * n_y > max_entries:
@@ -287,44 +286,28 @@ def _all_maps(F):
     return np.stack(np.meshgrid(*classes, indexing="ij"), axis=-1).reshape(-1, F + 1)
 
 
-def equivalent_channel_matrix(channel, config, max_entries=None):
+def equivalent_channel_matrix(channel, config):
     """Rows P(y | t) for every strategy map, states mixed by the frame law.
 
     The oracle runs on `orbit_channel`; this full table is its enumerated
     cross-check.
     """
     F = config.F
-    _check_oracle_size(F, channel.J, max_entries)
+    _check_oracle_size(F, channel.J)
     rows = likelihood_rows(channel, F, list(range(1 << F)))
     return mix_states(rows, _all_maps(F), state_pmf(config))
 
 
-@dataclass(frozen=True)
-class OrbitChannel:
-    """The all-maps channel lumped on S_F orbits of maps and of outputs.
-
-    V[i, k] is the probability that map orbit i's representative sends the
-    output into composition k; row_const[i] is sum_y W log2 W of that
-    representative plus sum_k V[i, k] log2 |Y_k|.
-    """
-
-    V: np.ndarray
-    row_const: np.ndarray
-    orbit_sizes: np.ndarray
-    type_sizes: np.ndarray
-
-
 def orbit_channel(channel, config):
-    """Lump `equivalent_channel_matrix` on S_F orbits of maps and output compositions.
+    """(orbit_sizes, h): S_F orbits of strategy maps and each orbit's output entropy.
 
     Permuting packet positions permutes the bit columns of every
     representative at once, so two maps share an orbit exactly when their
     per-position columns (bit f of rep_0..rep_F) form the same multiset. The
-    channel is the same at every position, so W(pi y | pi t) = W(y | t):
-    orbit members have permuted rows and outputs of one composition are
-    interchangeable.
+    channel is the same at every position, so W(pi y | pi t) = W(y | t) and
+    every member of an orbit has the output entropy h of its representative.
     """
-    F, J = config.F, channel.J
+    F = config.F
     maps = _all_maps(F)
     shifts = np.arange(F - 1, -1, -1, dtype=np.int64)
     cols = np.zeros((len(maps), F), dtype=np.int64)
@@ -336,12 +319,8 @@ def orbit_channel(channel, config):
         key = (key << (F + 1)) | cols[:, f]
     _, first, orbit_sizes = np.unique(key, return_index=True, return_counts=True)
     rows = likelihood_rows(channel, F, list(range(1 << F)))
-    W = mix_states(rows, maps[first], state_pmf(config))
-    ranks = _type_ranks(F, J, np.arange(J**F, dtype=np.int64))
-    type_sizes = np.bincount(ranks, minlength=comb(F + J - 1, J - 1))
-    V = W @ (ranks[:, None] == np.arange(len(type_sizes)))
-    row_const = V @ np.log2(type_sizes) - entropy_bits(W)
-    return OrbitChannel(V, row_const, orbit_sizes, type_sizes)
+    h = entropy_bits(mix_states(rows, maps[first], state_pmf(config)))
+    return orbit_sizes, h
 
 
 def blahut_arimoto(W, tol=BA_TOL, max_iter=BA_MAX_ITER, row_const=None, r0=None):
@@ -378,25 +357,33 @@ def blahut_arimoto(W, tol=BA_TOL, max_iter=BA_MAX_ITER, row_const=None, r0=None)
     raise RuntimeError(f"no convergence after {max_iter} iterations; duality gap {gap:.3e}")
 
 
-def oracle_solve(channel, config, max_entries=None, tol=BA_TOL, max_iter=BA_MAX_ITER):
-    """Blahut-Arimoto over every admissible strategy map, run on `orbit_channel`.
+def oracle_solve(channel, config):
+    """Blahut-Arimoto over every admissible strategy map, run on S_F orbits.
 
-    The iteration starts uniform over maps, so every iterate is S_F-invariant
-    and the lumped run has the same bounds, gap and iteration count as the
-    run on `equivalent_channel_matrix`, up to floating-point rounding. The
-    result's input_pmf is the law over map orbits. The ceiling still counts
-    the all-maps table.
+    The letter counts of y depend only on the weight of the sent symbol, so
+    every map gives the output composition the law it has under the product
+    law q*(y) = prod_f u(y_f). Every S_F-invariant law over maps, hence every
+    iterate from the uniform start, therefore sends y to q*, and map t has
+    the fixed information density D_t = F H(u) - H(Y|T=t). So the iteration
+    runs on one output class with row_const D over the orbits; it has the
+    same bounds, gap and iteration count as the run on
+    `equivalent_channel_matrix`, up to floating-point rounding. The result's
+    input_pmf is the law over map orbits. The ceiling still counts the
+    all-maps table.
     """
-    _check_oracle_size(config.F, channel.J, max_entries)
-    orbits = orbit_channel(channel, config)
-    r0 = orbits.orbit_sizes / strategy_space_size(config.F)
-    return blahut_arimoto(orbits.V, tol, max_iter, row_const=orbits.row_const, r0=r0)
+    _check_oracle_size(config.F, channel.J)
+    orbit_sizes, h = orbit_channel(channel, config)
+    f_h_u = outer_bound(channel, config) + _mean_noise_entropy(channel, config)
+    return blahut_arimoto(
+        np.ones((len(h), 1)),
+        row_const=f_h_u - h,
+        r0=orbit_sizes / strategy_space_size(config.F),
+    )
 
 
-def oracle_capacity(channel, config, max_entries=None, tol=BA_TOL, max_iter=BA_MAX_ITER):
+def oracle_capacity(channel, config):
     """Brute-force capacity over every admissible strategy map."""
-    result = oracle_solve(channel, config, max_entries=max_entries, tol=tol, max_iter=max_iter)
-    return result.capacity
+    return oracle_solve(channel, config).capacity
 
 
 def secondary_capacity(channel, config):
@@ -420,13 +407,13 @@ class SweepRow:
     c_errorless: float
 
 
-def sweep_point(preset, p, a, F, oracle_max_entries=None):
+def sweep_point(preset, p, a, F):
     """Evaluate one (preset, p, a, F) grid point for the comparison sweep."""
     ch = channel_preset(preset, p)
     cfg = FrameConfig(F, a)
     report = secondary_capacity(ch, cfg)
     try:
-        oracle = oracle_capacity(ch, cfg, max_entries=oracle_max_entries)
+        oracle = oracle_capacity(ch, cfg)
     except OracleTooLarge:
         oracle = None
     return SweepRow(

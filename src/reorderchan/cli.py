@@ -95,7 +95,7 @@ def _cmd_capacity(args):
 def _cmd_oracle(args):
     ch = channel_preset(args.preset, args.p)
     cfg = FrameConfig(args.F, args.a)
-    result = oracle_solve(ch, cfg, max_entries=args.oracle_max_entries)
+    result = oracle_solve(ch, cfg)
     print(f"preset {args.preset}")
     print(f"F {args.F}")
     print(f"a {fmt(args.a)}")
@@ -119,13 +119,13 @@ def _cmd_simulate(args):
     return 0
 
 
-def sweep_rows(grid, oracle_max_entries=None):
-    """Evaluate a SweepSpec; rows come back sorted by (F, a, p)."""
+def sweep_rows(grid):
+    """Evaluate a SweepSpec once per distinct point; rows come back sorted by (F, a, p)."""
     rows = []
-    for F in sorted(grid.f_values):
-        for a in sorted(grid.a_values):
-            for p in sorted(grid.p_values):
-                rows.append(sweep_point(grid.preset, p, a, F, oracle_max_entries))
+    for F in sorted(set(grid.f_values)):
+        for a in sorted(set(grid.a_values)):
+            for p in sorted(set(grid.p_values)):
+                rows.append(sweep_point(grid.preset, p, a, F))
     return rows
 
 
@@ -160,7 +160,7 @@ def _cmd_sweep(args):
         f_values=parse_f_values(args.F),
         normalize=args.per_packet,
     )
-    rows = sweep_rows(grid, oracle_max_entries=args.oracle_max_entries)
+    rows = sweep_rows(grid)
     text = format_sweep_csv(rows, normalize=grid.normalize)
     if args.out:
         with open(args.out, "w") as fh:
@@ -230,7 +230,6 @@ def run_cli(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
-    args.oracle_max_entries = oracle_limit
     try:
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:

@@ -77,15 +77,6 @@ def enumerate_weight_class(F, s):
     return syms
 
 
-def bits_matrix(F, xs):
-    """Bit of each symbol at each position, leftmost position first."""
-    xs = np.asarray(xs, dtype=np.int64)
-    out = np.empty((len(xs), F), dtype=np.int64)
-    for f in range(F):
-        out[:, f] = (xs >> (F - 1 - f)) & 1
-    return out
-
-
 def output_digits(F, J, cols):
     """Base-J digits of the given output indices, leftmost digit first."""
     cols = np.asarray(cols, dtype=np.int64)
@@ -105,7 +96,7 @@ def likelihood_rows(channel, F, xs, cols=None):
     if cols is None:
         cols = np.arange(J**F, dtype=np.int64)
     digits = output_digits(F, J, cols)
-    bits = bits_matrix(F, xs)
+    bits = output_digits(F, 2, xs)
     qmat = channel.matrix()
     rows = np.ones((len(bits), len(digits)))
     for f in range(F):

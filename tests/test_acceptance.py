@@ -9,6 +9,7 @@ in reference.py.
 import functools
 
 import numpy as np
+import pytest
 
 import reference as ref
 from reorderchan import (
@@ -34,7 +35,7 @@ from reorderchan import (
     z_fixed_input_capacity,
     z_point_capacity,
 )
-from reorderchan.capacity import _all_maps
+from reorderchan.capacity import ORACLE_ENV_VAR, _all_maps
 from reorderchan.frame_space import symbol_string
 
 PRESETS = ("erasure", "bsc", "z")
@@ -77,7 +78,9 @@ def test_acceptance_1_at_f6():
     cfg = FrameConfig(6, 0.5)
     for kind in PRESETS:
         ch = channel_preset(kind, 0.2)
-        oracle = oracle_capacity(ch, cfg, max_entries=200_000_000)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv(ORACLE_ENV_VAR, "200000000")
+            oracle = oracle_capacity(ch, cfg)
         assert abs(mutual_info_TY(ch, cfg, sset).i_ty - oracle) < 1e-9, kind
 
 
@@ -165,7 +168,9 @@ def test_acceptance_5():
 def test_acceptance_6():
     prev = -1.0
     for F in range(1, 11):
-        row = sweep_point("erasure", 0.2, 0.5, F, oracle_max_entries=0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv(ORACLE_ENV_VAR, "0")
+            row = sweep_point("erasure", 0.2, 0.5, F)
         assert row.c_oracle is None
         assert 0.0 <= row.c_constructed <= row.c_xy + 1e-9
         assert row.c_xy <= row.outer_bound + 1e-9

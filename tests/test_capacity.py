@@ -17,6 +17,7 @@ from reorderchan import (
     c_xy,
     channel_preset,
     decompose_paths,
+    entropy_bits,
     enumerate_weight_class,
     errorless_capacity,
     full_permutation_set,
@@ -33,7 +34,12 @@ from reorderchan import (
     z_point_capacity,
 )
 from reorderchan import capacity
-from reorderchan.capacity import equivalent_channel_matrix, oracle_entry_limit, strategy_space_size
+from reorderchan.capacity import (
+    ORACLE_ENV_VAR,
+    equivalent_channel_matrix,
+    oracle_entry_limit,
+    strategy_space_size,
+)
 from reorderchan.frame_space import symbol_string
 
 FIG_PAIR = decompose_paths(build_weighted_graph(2))
@@ -255,11 +261,12 @@ def test_equivalent_channel_matrix_shape_f4():
     assert np.allclose(W.sum(axis=1), 1.0, atol=1e-12)
 
 
-def test_equivalent_channel_matrix_limit():
+def test_equivalent_channel_matrix_limit(monkeypatch):
+    monkeypatch.setenv(ORACLE_ENV_VAR, "10")
     with pytest.raises(ValueError, match="REORDERCHAN_ORACLE_MAX_ENTRIES"):
-        equivalent_channel_matrix(channel_preset("bsc", 0.1), FrameConfig(4, 0.3), max_entries=10)
+        equivalent_channel_matrix(channel_preset("bsc", 0.1), FrameConfig(4, 0.3))
     with pytest.raises(OracleTooLarge):
-        equivalent_channel_matrix(channel_preset("bsc", 0.1), FrameConfig(4, 0.3), max_entries=10)
+        equivalent_channel_matrix(channel_preset("bsc", 0.1), FrameConfig(4, 0.3))
 
 
 def test_blahut_arimoto_closed_forms():
@@ -302,24 +309,58 @@ def test_orbit_oracle_repeats_the_all_maps_iteration(kind):
                 assert orbits.iterations == full.iterations, (F, p, a)
 
 
+FOUR_LETTERS = BinaryInputChannel((0.6, 0.25, 0.1, 0.05), (0.05, 0.15, 0.3, 0.5), "0123")
+
+
+@pytest.mark.parametrize("kind", ["erasure", "bsc", "z", "four"])
+def test_every_map_sends_the_output_composition_to_the_product_law(monkeypatch, kind):
+    # the premise behind the oracle's single output class, checked on the unlumped table
+    monkeypatch.setenv(ORACLE_ENV_VAR, str(2500 * 4**5))
+    ch = FOUR_LETTERS if kind == "four" else channel_preset(kind, 0.2)
+    J = ch.J
+    for a in (0.3, 0.7):
+        u = (1.0 - a) * np.asarray(ch.q0) + a * np.asarray(ch.q1)
+        for F in range(1, 6):
+            W = equivalent_channel_matrix(ch, FrameConfig(F, a))
+            ranks = capacity._type_ranks(F, J, np.arange(J**F))
+            digits = np.array([[(y // J ** (F - 1 - f)) % J for f in range(F)] for y in range(J**F)])
+            multinomial = np.bincount(ranks, weights=np.prod(u[digits], axis=1))
+            lumped = np.stack([np.bincount(ranks, weights=row) for row in W])
+            assert np.abs(lumped - multinomial).max() < 1e-14, (a, F)
+
+
 @pytest.mark.parametrize("kind", ["erasure", "bsc", "z"])
 def test_orbit_channel_structure(kind):
     ch = channel_preset(kind, 0.2)
     counts = []
     for F in range(1, 7):
-        orbits = capacity.orbit_channel(ch, FrameConfig(F, 0.4))
-        counts.append(len(orbits.orbit_sizes))
-        assert orbits.orbit_sizes.sum() == strategy_space_size(F)
-        assert orbits.type_sizes.sum() == ch.J**F
-        assert np.allclose(orbits.V.sum(axis=1), 1.0, atol=1e-12)
+        cfg = FrameConfig(F, 0.4)
+        orbit_sizes, h = capacity.orbit_channel(ch, cfg)
+        counts.append(len(orbit_sizes))
+        assert orbit_sizes.sum() == strategy_space_size(F)
+        if F > 4:
+            continue
+        # group the full table's rows by the multiset of per-position columns
+        members = {}
+        row_h = entropy_bits(equivalent_channel_matrix(ch, cfg))
+        for reps, h_row in zip(capacity._all_maps(F), row_h):
+            key = tuple(sorted(tuple((int(x) >> (F - 1 - f)) & 1 for x in reps) for f in range(F)))
+            members.setdefault(key, []).append(h_row)
+        assert all(max(hs) - min(hs) < 1e-12 for hs in members.values())
+        want = sorted((len(hs), hs[0]) for hs in members.values())
+        got = sorted(zip(orbit_sizes.tolist(), h.tolist()))
+        assert [n for n, _ in got] == [n for n, _ in want]
+        assert np.allclose([x for _, x in got], [x for _, x in want], rtol=0, atol=1e-12)
     assert counts == [1, 1, 2, 6, 34, 374]
 
 
-def test_oracle_solve_keeps_the_all_maps_ceiling():
+def test_oracle_solve_keeps_the_all_maps_ceiling(monkeypatch):
     ch, cfg = channel_preset("bsc", 0.1), FrameConfig(4, 0.3)
+    monkeypatch.setenv(ORACLE_ENV_VAR, str(96 * 16 - 1))
     with pytest.raises(OracleTooLarge, match="96 x 16 entries"):
-        capacity.oracle_solve(ch, cfg, max_entries=96 * 16 - 1)
-    assert capacity.oracle_solve(ch, cfg, max_entries=96 * 16).gap < 1e-10
+        capacity.oracle_solve(ch, cfg)
+    monkeypatch.setenv(ORACLE_ENV_VAR, str(96 * 16))
+    assert capacity.oracle_solve(ch, cfg).gap < 1e-10
 
 
 def test_sweep_point_fields():
@@ -334,8 +375,9 @@ def test_sweep_point_fields():
     assert row.c_oracle == pytest.approx(row.c_constructed, abs=1e-6)
 
 
-def test_sweep_point_oracle_skipped_over_limit():
-    row = sweep_point("erasure", 0.2, 0.5, 3, oracle_max_entries=0)
+def test_sweep_point_oracle_skipped_over_limit(monkeypatch):
+    monkeypatch.setenv(ORACLE_ENV_VAR, "0")
+    row = sweep_point("erasure", 0.2, 0.5, 3)
     assert row.c_oracle is None
     assert row.c_constructed > 0
 
@@ -386,10 +428,9 @@ def test_orbit_path_matches_enumeration_on_permutation_set(kind):
 
 
 def test_orbit_path_matches_enumeration_four_letters():
-    ch = BinaryInputChannel((0.6, 0.25, 0.1, 0.05), (0.05, 0.15, 0.3, 0.5), "0123")
     for F in range(1, 7):
         sset = decompose_paths(build_weighted_graph(F))
-        _assert_orbit_matches_enumeration(ch, FrameConfig(F, 0.35), sset)
+        _assert_orbit_matches_enumeration(FOUR_LETTERS, FrameConfig(F, 0.35), sset)
 
 
 def test_type_ranks_index_compositions():

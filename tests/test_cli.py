@@ -219,6 +219,23 @@ def test_sweep_rows_match_library():
     assert float(text.strip().split("\n")[1].split(",")[8]) == pytest.approx(want, rel=1e-10)
 
 
+def test_sweep_evaluates_repeated_values_once(capsys, monkeypatch):
+    calls = []
+    real = cli.sweep_point
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "sweep_point", counted)
+    argv = ["sweep", "--preset", "bsc", "--p", "0.2,0.2", "--a", "0.5", "--F", "2,2"]
+    assert run_cli(argv) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == CSV_HEADER
+    assert len(lines) == 2
+    assert calls == [("bsc", 0.2, 0.5, 2)]
+
+
 def test_missing_required_flags_exit_2():
     assert run_cli(["capacity", "--preset", "erasure", "--F", "3"]) == 2
     assert run_cli(["capacity", "--preset", "laplace", "--p", "0.1", "--a", "0.5", "--F", "3"]) == 2
