@@ -21,7 +21,7 @@ from .frame_space import (
     output_digits,
     state_pmf,
 )
-from .strategy import build_weighted_graph, decompose_paths, induced_input_pmf, strategy_table
+from .strategy import induced_input_pmf, strategy_table
 
 DECOMPOSITION_TOL = 1e-9
 BA_TOL = 1e-10
@@ -184,35 +184,35 @@ def _enumerated_rates(channel, config, sset):
     return h_y - h_y_given_t, h_y_by_x - noise, h_y_given_t - noise
 
 
+def _checked_report(channel, config, method, rates):
+    """Report (i_ty, i_xy, i_xy_given_t) once the split I(T;Y) = I(X;Y) - I(X;Y|T) closes."""
+    i_ty, i_xy, i_xy_given_t = rates
+    if abs(i_ty - (i_xy - i_xy_given_t)) > DECOMPOSITION_TOL:
+        raise RuntimeError("information split I(T;Y) = I(X;Y) - I(X;Y|T) failed to close")
+    outer = outer_bound(channel, config)
+    return CapacityReport(*rates, c_xy=outer, outer_bound=outer, method=method)
+
+
+def secondary_capacity(channel, config):
+    """Checked report of the constructed set, an S_F orbit of the staircase, which is never built.
+
+    Its rates are those of the F+1 staircase rows; method "constructed".
+    """
+    return _checked_report(channel, config, "constructed", _orbit_rates(channel, config))
+
+
 def mutual_info_TY(channel, config, sset):
     """Information rates of a strategy set, with the cascade split checked.
 
-    Sets that pass `_is_staircase_orbit` (the constructed set and the
-    permutation orbit among them) are evaluated from the F+1 staircase rows
-    and report method "constructed"; any other set enumerates every strategy
-    and reports "enumerated". Either way the split
-    I(T;Y) = I(X;Y) - I(X;Y|T) compares two independently computed values
-    and must close numerically or the call fails.
+    A set that passes `_is_staircase_orbit` (the constructed set, the
+    permutation orbit) has the constructed set's rates: `secondary_capacity`.
+    Any other set enumerates every strategy and reports "enumerated".
     """
     if sset.F != config.F:
         raise ValueError("strategy set and frame config disagree on F")
     if _is_staircase_orbit(sset):
-        method = "constructed"
-        i_ty, i_xy, i_xy_given_t = _orbit_rates(channel, config)
-    else:
-        method = "enumerated"
-        i_ty, i_xy, i_xy_given_t = _enumerated_rates(channel, config, sset)
-    if abs(i_ty - (i_xy - i_xy_given_t)) > DECOMPOSITION_TOL:
-        raise RuntimeError("information split I(T;Y) = I(X;Y) - I(X;Y|T) failed to close")
-    outer = outer_bound(channel, config)
-    return CapacityReport(
-        i_ty=i_ty,
-        i_xy=i_xy,
-        i_xy_given_t=i_xy_given_t,
-        c_xy=outer,
-        outer_bound=outer,
-        method=method,
-    )
+        return secondary_capacity(channel, config)
+    return _checked_report(channel, config, "enumerated", _enumerated_rates(channel, config, sset))
 
 
 def errorless_capacity(config):
@@ -337,9 +337,7 @@ def blahut_arimoto(W, tol=BA_TOL, max_iter=BA_MAX_ITER, row_const=None, r0=None)
         raise ValueError("need a matrix of probability rows")
     n = W.shape[0]
     if row_const is None:
-        logW = np.zeros_like(W)
-        np.log2(W, out=logW, where=W > 0)
-        row_const = np.sum(W * logW, axis=1)
+        row_const = -entropy_bits(W)
     r = np.full(n, 1.0 / n) if r0 is None else np.asarray(r0, dtype=float)
     gap = np.inf
     for it in range(1, max_iter + 1):
@@ -369,14 +367,17 @@ def oracle_solve(channel, config):
     same bounds, gap and iteration count as the run on
     `equivalent_channel_matrix`, up to floating-point rounding. The result's
     input_pmf is the law over map orbits. The ceiling still counts the
-    all-maps table.
+    all-maps table. D_t = D(W_t || q*) >= 0, and H(Y|T=t) is at least the
+    mean noise entropy, so D_t <= outer_bound: clipping to both moves only
+    rounding.
     """
     _check_oracle_size(config.F, channel.J)
     orbit_sizes, h = orbit_channel(channel, config)
-    f_h_u = outer_bound(channel, config) + _mean_noise_entropy(channel, config)
+    outer = outer_bound(channel, config)
+    f_h_u = outer + _mean_noise_entropy(channel, config)
     return blahut_arimoto(
         np.ones((len(h), 1)),
-        row_const=f_h_u - h,
+        row_const=np.clip(f_h_u - h, 0.0, outer),
         r0=orbit_sizes / strategy_space_size(config.F),
     )
 
@@ -384,12 +385,6 @@ def oracle_solve(channel, config):
 def oracle_capacity(channel, config):
     """Brute-force capacity over every admissible strategy map."""
     return oracle_solve(channel, config).capacity
-
-
-def secondary_capacity(channel, config):
-    """Capacity report of the constructed lcm-sized uniform strategy set."""
-    sset = decompose_paths(build_weighted_graph(config.F))
-    return mutual_info_TY(channel, config, sset)
 
 
 @dataclass(frozen=True)

@@ -491,6 +491,30 @@ def test_orbit_closed_forms_at_f12():
         assert report.i_ty == pytest.approx(0.0, abs=1e-9)
 
 
+def test_built_set_has_the_unbuilt_constructed_rates():
+    # the fact that lets secondary_capacity skip the build: the built set is a
+    # staircase orbit, so the set path and the set-free path agree exactly
+    channels = [channel_preset(kind, 0.2) for kind in ("erasure", "bsc", "z")]
+    for F in range(1, 13):
+        sset = decompose_paths(build_weighted_graph(F))
+        assert capacity._is_staircase_orbit(sset), F
+        # 4^F outputs: FOUR_LETTERS takes about 10 s per evaluation at F = 12
+        for ch in channels + [FOUR_LETTERS] * (F <= 9):
+            cfg = FrameConfig(F, 0.4)
+            report = secondary_capacity(ch, cfg)
+            assert report.method == "constructed"
+            assert mutual_info_TY(ch, cfg, sset) == report, (F, ch)
+
+
+def test_constructed_closed_forms_at_f20():
+    # L = 11 085 360 strategies at F = 20; the rates never need them
+    cfg = FrameConfig(20, 0.3)
+    report = secondary_capacity(channel_preset("z", 0.0), cfg)
+    assert report.i_ty == pytest.approx(errorless_capacity(cfg), abs=1e-9)
+    report = secondary_capacity(channel_preset("bsc", 0.5), cfg)
+    assert report.i_ty == pytest.approx(0.0, abs=1e-9)
+
+
 def test_orbit_split_check_is_live(monkeypatch):
     # the orbit path takes I(X;Y) from the one-slot closed form and H(Y) from
     # the type average; a nudged closed form must break the split check

@@ -125,6 +125,40 @@ def test_oracle_command(capsys):
     assert int(vals["iterations"]) >= 1
 
 
+@pytest.mark.parametrize(
+    "preset, p, a, F",
+    [
+        ("bsc", "0.5", "0.3", "5"),
+        ("bsc", "0.3", "0", "3"),
+        ("erasure", "0.2", "1", "5"),
+        ("z", "1", "0.3", "2"),
+    ],
+)
+def test_oracle_prints_zero_capacity_without_residue(capsys, preset, p, a, F):
+    # each orbit density D_t is 0 here, a difference of two equal sums that
+    # rounds to about +-1e-15 unless clipped into [0, outer_bound]
+    assert run_cli(["oracle", "--preset", preset, "--p", p, "--a", a, "--F", F]) == 0
+    assert "capacity 0" in capsys.readouterr().out.split("\n")
+
+
+def test_capacity_and_sweep_never_build_the_set(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the constructed set was built")
+
+    for name, module in list(sys.modules.items()):
+        if name == "reorderchan" or name.startswith("reorderchan."):
+            for fn in ("build_weighted_graph", "decompose_paths"):
+                if hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, refuse)
+    argv = ["--preset", "erasure", "--p", "0.2", "--a", "0.5"]
+    assert run_cli(["capacity"] + argv + ["--F", "6"]) == 0
+    assert "method constructed" in capsys.readouterr().out.split("\n")
+    assert run_cli(["sweep"] + argv + ["--F", "2..4"]) == 0
+    assert len(capsys.readouterr().out.strip().split("\n")) == 4
+    with pytest.raises(AssertionError, match="built"):
+        run_cli(["construct", "3"])
+
+
 def test_simulate_command_deterministic(capsys):
     args = [
         "simulate", "--preset", "erasure", "--p", "0.2", "--a", "0.5",
