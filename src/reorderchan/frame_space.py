@@ -97,10 +97,11 @@ def likelihood_rows(channel, F, xs, cols=None):
         cols = np.arange(J**F, dtype=np.int64)
     digits = output_digits(F, J, cols)
     bits = output_digits(F, 2, xs)
-    qmat = channel.matrix()
+    q0, q1 = channel.matrix()
     rows = np.ones((len(bits), len(digits)))
     for f in range(F):
-        rows *= qmat[bits[:, f]][:, digits[:, f]]
+        d = digits[:, f]
+        rows *= np.where(bits[:, f, None] == 1, q1[d], q0[d])
     return rows
 
 

@@ -2,7 +2,9 @@
 
 Reproducibility contract: one PCG64 generator seeded from the report's seed
 drives state draws, strategy draws, and per-position channel noise, in that
-order, so a seed pins the whole trace on any platform.
+order, so a seed pins the whole trace on any platform. Noise is drawn in
+blocks of whole frames; `Generator.random` yields the same stream whether it
+is called once or block by block, so the block size moves no draw.
 """
 
 import os
@@ -11,11 +13,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import mutual_info_TY
-from .frame_space import likelihood_rows, mix_states, output_string, state_pmf, symbol_string
+from .frame_space import (
+    likelihood_rows,
+    mix_states,
+    output_digits,
+    output_string,
+    state_pmf,
+    symbol_string,
+)
 from .strategy import strategy_table
 
-# n_frames x F noise uniforms drawn at once: 2^27 float64 entries is 1 GiB
-MAX_NOISE_DRAWS = 1 << 27
+# Bytes a run holds per frame: the draws, the sent-symbol index, the output,
+# np.unique's sort and inverse, the decoded strategy and the histogram key.
+# The tracemalloc peak of a whole run is 74.6 bytes per frame at bsc F = 8
+# with 2e5 frames, and 73.2 at z F = 1 with 1e6 frames (numpy 2.4). The noise
+# block is a fixed size; the decoder slab and the joint histogram grow with
+# the distinct outputs observed, not with the frames, and are not counted.
+FRAME_BYTES = 80
+# n_frames x FRAME_BYTES above this is refused before any draw
+MAX_FRAME_BYTES = 1 << 31
+# noise uniforms drawn per block, whole frames at a time: 512 KiB of float64
+NOISE_CHUNK = 1 << 16
 # trace rows formatted per writelines call, which bounds the writer's strings
 TRACE_CHUNK = 1 << 16
 
@@ -31,9 +49,33 @@ class SimReport:
     seed: int
 
 
-def _decode_observed(sset, channel, config, pmf_s, uniq_y):
-    """MAP strategy index for each observed output, smallest index on ties."""
-    _, used, rep_idx = strategy_table(sset)
+def _draw_index(pmf, u):
+    """min(searchsorted(cumsum(pmf), u, "right"), len(pmf) - 1) through a guide table.
+
+    Bucket k of m = len(pmf) equal buckets starts the walk at the answer for
+    the bucket edge (k - 1) / m, one bucket back, so rounding in u * m cannot
+    start it past the answer. The walk then steps while cum[idx] <= u; the
+    last entry is +inf, which both stops it and clamps to len(pmf) - 1.
+    """
+    cum = np.cumsum(pmf)
+    cum[-1] = np.inf
+    m = len(cum)
+    start = np.searchsorted(cum, np.arange(-1, m) / m, side="right")
+    idx = start[(u * m).astype(np.intp)]
+    # the step back leaves most draws an entry short: one pass over all, then walk the rest
+    idx += cum[idx] <= u
+    late = np.flatnonzero(cum[idx] <= u)
+    while late.size:
+        idx[late] += 1
+        late = late[cum[idx[late]] <= u[late]]
+    return idx
+
+
+def _decode_observed(sset, channel, config, pmf_s, used, rep_idx, uniq_y):
+    """MAP strategy index for each observed output, smallest index on ties.
+
+    used and rep_idx are the set's `strategy_table`.
+    """
     rows = likelihood_rows(channel, config.F, used, uniq_y)
     pmf_t = np.asarray(sset.pmf)
     n_t = len(sset.multisymbols)
@@ -66,32 +108,39 @@ def run_monte_carlo(channel, config, sset, n_frames, seed, trace=None):
     F, J = config.F, channel.J
     if n_frames < 1:
         raise ValueError("n_frames must be positive")
-    if n_frames * F > MAX_NOISE_DRAWS:
-        raise ValueError(f"{n_frames} frames x F = {F} noise draws exceed {MAX_NOISE_DRAWS}")
+    if n_frames * FRAME_BYTES > MAX_FRAME_BYTES:
+        raise ValueError(
+            f"{n_frames} frames x {FRAME_BYTES} bytes per frame exceed {MAX_FRAME_BYTES} bytes"
+        )
     rng = np.random.Generator(np.random.PCG64(seed))
     pmf_s = state_pmf(config)
-    pmf_t = np.asarray(sset.pmf)
     n_t = len(sset.multisymbols)
 
-    s_draw = np.searchsorted(np.cumsum(pmf_s), rng.random(n_frames), side="right")
-    s_draw = np.minimum(s_draw, F)
-    t_draw = np.searchsorted(np.cumsum(pmf_t), rng.random(n_frames), side="right")
-    t_draw = np.minimum(t_draw, n_t - 1)
-    reps, used, rep_idx = strategy_table(sset)
-    x = reps[t_draw, s_draw]
+    s_draw = _draw_index(pmf_s, rng.random(n_frames))
+    t_draw = _draw_index(np.asarray(sset.pmf), rng.random(n_frames))
+    _, used, rep_idx = strategy_table(sset)
+    xi = rep_idx[t_draw, s_draw]
 
     # letter = min(searchsorted(cum[bit], u, "right"), J - 1), summed into y by Horner's rule
     cum = np.cumsum(channel.matrix(), axis=1)
-    u = rng.random((n_frames, F))
-    y = np.zeros(n_frames, dtype=np.int64)
-    for f in range(F):
-        bit = ((x >> (F - 1 - f)) & 1).astype(bool)
-        y *= J
+    bit_table = output_digits(F, 2, used).astype(np.uint8)
+    y = np.empty(n_frames, dtype=np.int64)
+    block = max(1, NOISE_CHUNK // F)
+    for lo in range(0, n_frames, block):
+        hi = min(lo + block, n_frames)
+        u = rng.random((hi - lo, F))
+        bits = bit_table[xi[lo:hi]]
+        letters = np.zeros(u.shape, dtype=np.uint8)
         for j in range(J - 1):
-            y += u[:, f] >= np.where(bit, cum[1, j], cum[0, j])
+            letters += u >= cum[:, j][bits]
+        y_block = y[lo:hi]
+        y_block[:] = letters[:, 0]
+        for f in range(1, F):
+            y_block *= J
+            y_block += letters[:, f]
 
     uniq_y, inverse = np.unique(y, return_inverse=True)
-    t_hat = _decode_observed(sset, channel, config, pmf_s, uniq_y)[inverse]
+    t_hat = _decode_observed(sset, channel, config, pmf_s, used, rep_idx, uniq_y)[inverse]
     symbol_errors = int(np.sum(t_hat != t_draw))
 
     joint = np.bincount(
@@ -115,7 +164,7 @@ def run_monte_carlo(channel, config, sset, n_frames, seed, trace=None):
             for lo in range(0, n_frames, TRACE_CHUNK):
                 part = slice(lo, lo + TRACE_CHUNK)
                 s_c, t_c = s_draw[part], t_draw[part]
-                cols = (s_c, t_c, x_text[rep_idx[t_c, s_c]], y_text[inverse[part]], t_hat[part])
+                cols = (s_c, t_c, x_text[xi[part]], y_text[inverse[part]], t_hat[part])
                 fh.writelines(map(row, range(lo, n_frames), *(c.tolist() for c in cols)))
         finally:
             if fh is not trace:

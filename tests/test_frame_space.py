@@ -5,6 +5,7 @@ import pytest
 
 import reference as ref
 from reorderchan import (
+    BinaryInputChannel,
     FrameConfig,
     Multisymbol,
     StrategySet,
@@ -109,6 +110,24 @@ def test_likelihood_rows_column_subset():
     full = likelihood_rows(ch, 3, [1, 6])
     cols = np.array([0, 5, 11, 26])
     assert np.allclose(likelihood_rows(ch, 3, [1, 6], cols), full[:, cols])
+
+
+def test_likelihood_rows_equal_the_gathered_factor_product():
+    # the per-position (symbols x columns) gather it replaced, factors multiplied in the same order
+    four = BinaryInputChannel((0.4, 0.3, 0.2, 0.1), (0.1, 0.1, 0.1, 0.7), "abcd")
+    rng = np.random.default_rng(4)
+    for ch in (channel_preset("erasure", 0.3), channel_preset("bsc", 0.1), four):
+        qmat = ch.matrix()
+        for F in range(1, 7):
+            xs = rng.choice(1 << F, size=min(5, 1 << F), replace=False)
+            for cols in (None, np.sort(rng.choice(ch.J**F, size=min(40, ch.J**F), replace=False))):
+                full = np.arange(ch.J**F) if cols is None else cols
+                digits = [[(y // ch.J ** (F - 1 - f)) % ch.J for f in range(F)] for y in full]
+                want = np.ones((len(xs), len(full)))
+                for f in range(F):
+                    bits = [(x >> (F - 1 - f)) & 1 for x in xs]
+                    want *= qmat[bits][:, [d[f] for d in digits]]
+                assert np.array_equal(likelihood_rows(ch, F, xs, cols), want)
 
 
 def test_frame_likelihood_values():

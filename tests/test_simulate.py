@@ -17,7 +17,14 @@ from reorderchan import (
     weight,
 )
 from reorderchan.cli import fmt, run_cli
-from reorderchan.simulate import MAX_NOISE_DRAWS, _decode_observed
+from reorderchan.simulate import (
+    FRAME_BYTES,
+    MAX_FRAME_BYTES,
+    NOISE_CHUNK,
+    _decode_observed,
+    _draw_index,
+)
+from reorderchan.strategy import strategy_table
 
 SET4 = decompose_paths(build_weighted_graph(4))
 
@@ -52,8 +59,46 @@ def test_transmit_erasure_fraction():
     assert abs(erased / n - 0.3) < 4 * np.sqrt(0.3 * 0.7 / n)
 
 
+def _draw_points(cum):
+    """Uniforms at every cum value and its neighbours, every bucket edge and just below it."""
+    m = len(cum)
+    edges = np.arange(m + 1) / m
+    points = [cum, np.nextafter(cum, 0), np.nextafter(cum, 2), edges, np.nextafter(edges, 0)]
+    u = np.concatenate([*points, [0.0, np.nextafter(1.0, 0)]])
+    return u[(u >= 0) & (u < 1)]
+
+
+def _draw_pmfs():
+    rng = np.random.default_rng(19)
+    for n in range(1, 301):
+        yield np.full(n, 1.0 / n)
+    for n in (2, 7, 40, 300):
+        for _ in range(5):
+            yield rng.dirichlet(np.full(n, 0.05))
+    yield np.array([0.0, 0.5, 0.0, 0.0, 0.5, 0.0])
+    yield np.array([0.0, 0.0, 1.0])
+    yield np.array([1.0, 0.0, 0.0])
+    yield np.array([0.25, 0.0, 0.25, 0.0, 0.0, 0.5, 0.0])
+    for F in range(1, 21):
+        for a in (0.0, 0.05, 0.3, 0.5, 0.97, 1.0):
+            yield state_pmf(FrameConfig(F, a))
+
+
+def test_draw_index_equals_searchsorted():
+    ends_below_one = 0
+    for pmf in _draw_pmfs():
+        cum = np.cumsum(pmf)
+        ends_below_one += cum[-1] < 1.0
+        u = _draw_points(cum)
+        want = np.minimum(np.searchsorted(cum, u, side="right"), len(pmf) - 1)
+        assert np.array_equal(_draw_index(pmf, u), want), pmf
+    assert ends_below_one > 0
+
+
 def _decode_all(sset, ch, cfg, ys):
-    return list(_decode_observed(sset, ch, cfg, state_pmf(cfg), np.asarray(ys, dtype=np.int64)))
+    _, used, rep_idx = strategy_table(sset)
+    ys = np.asarray(ys, dtype=np.int64)
+    return list(_decode_observed(sset, ch, cfg, state_pmf(cfg), used, rep_idx, ys))
 
 
 def test_map_decode_noiseless_roundtrip():
@@ -271,12 +316,21 @@ def _replayed_outputs(ch, F, xs, n_frames, seed):
 
 
 NOISE_CASES = {f"{kind}-{p}": (kind, p) for kind in ("erasure", "bsc", "z") for p in (0.0, 0.2, 1.0)}
+# two whole noise blocks of F = 5 frames and three frames into the third
+PAST_TWO_BLOCKS = 2 * (NOISE_CHUNK // 5) + 3
 
 
-@pytest.mark.parametrize("name", [*NOISE_CASES, "four_letters"])
-def test_noise_matches_the_reference_transmit(name):
+@pytest.mark.parametrize(
+    ("name", "n_frames"),
+    [
+        pytest.param(name, n_frames, id=name + suffix)
+        for n_frames, suffix in ((400, ""), (PAST_TWO_BLOCKS, "-blocks"))
+        for name in [*NOISE_CASES, "four_letters"]
+    ],
+)
+def test_noise_matches_the_reference_transmit(name, n_frames):
     ch = channel_preset(*NOISE_CASES[name]) if name in NOISE_CASES else FOUR_LETTERS
-    F, n_frames, seed = 5, 400, 23
+    F, seed = 5, 23
     _, text = _library_run(ch, F, 0.45, n_frames, seed)
     letter = {label: j for j, label in enumerate(ch.output_labels)}
     xs, ys = [], []
@@ -309,7 +363,7 @@ def test_run_monte_carlo_refuses_oversized_draws():
     ch = channel_preset("bsc", 0.1)
     F = 6
     sset = decompose_paths(build_weighted_graph(F))
-    n_frames = MAX_NOISE_DRAWS // F + 1
+    n_frames = MAX_FRAME_BYTES // FRAME_BYTES + 1
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=f"{n_frames} frames"):
@@ -322,10 +376,26 @@ def test_run_monte_carlo_refuses_oversized_draws():
 
 def test_simulate_cli_refuses_oversized_draws(capsys):
     F = 3
-    n_frames = MAX_NOISE_DRAWS // F + 1
+    n_frames = MAX_FRAME_BYTES // FRAME_BYTES + 1
     argv = ["simulate", "--preset", "z", "--p", "0.1", "--a", "0.5", "--F", str(F)]
     assert run_cli(argv + ["--frames", str(n_frames)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert str(n_frames) in captured.err
+
+
+def test_run_monte_carlo_memory_is_bounded_per_frame():
+    # noise is drawn in fixed-size blocks, so the peak is the per-frame arrays
+    ch = channel_preset("bsc", 0.2)
+    cfg = FrameConfig(8, 0.5)
+    sset = decompose_paths(build_weighted_graph(8))
+    n_frames = 200_000
+    tracemalloc.start()
+    try:
+        run_monte_carlo(ch, cfg, sset, n_frames, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * n_frames
+    assert peak < FRAME_BYTES * n_frames
