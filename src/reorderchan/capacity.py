@@ -29,6 +29,7 @@ BA_MAX_ITER = 100_000
 ORACLE_MAX_ENTRIES = 2_000_000
 ORACLE_ENV_VAR = "REORDERCHAN_ORACLE_MAX_ENTRIES"
 BLOCK_COLS = 8192  # bounds the likelihood slab width when J**F is large
+SLAB_CELLS = 1 << 22  # float64 cells in one strategies x outputs slab: 32 MiB
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,7 @@ def _enumerated_rates(channel, config, sset):
     p_x = induced_input_pmf(sset, config)[used]
     n_t = len(pmf_t)
     total_cols = channel.J**F
-    chunk = max(1, (1 << 22) // BLOCK_COLS)  # strategies per slab
+    chunk = max(1, SLAB_CELLS // BLOCK_COLS)  # strategies per slab
     h_t = np.zeros(n_t)
     h_y = h_y_by_x = 0.0
     for start in range(0, total_cols, BLOCK_COLS):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import mutual_info_TY
+from .capacity import SLAB_CELLS, mutual_info_TY
 from .frame_space import (
     likelihood_rows,
     mix_states,
@@ -27,10 +27,12 @@ from .strategy import strategy_table
 # np.unique's sort and inverse, the decoded strategy and the histogram key.
 # The tracemalloc peak of a whole run is 74.6 bytes per frame at bsc F = 8
 # with 2e5 frames, and 73.2 at z F = 1 with 1e6 frames (numpy 2.4). The noise
-# block is a fixed size; the decoder slab and the joint histogram grow with
-# the distinct outputs observed, not with the frames, and are not counted.
+# block is a fixed size, and the decoder works in blocks of at most SLAB_CELLS
+# posterior cells. The joint histogram grows with the distinct outputs
+# observed, not with the frames, and is sized on its own against the ceiling.
 FRAME_BYTES = 80
-# n_frames x FRAME_BYTES above this is refused before any draw
+# n_frames x FRAME_BYTES above this is refused before any draw, and so is a
+# joint histogram of more than this many bytes before it is counted
 MAX_FRAME_BYTES = 1 << 31
 # noise uniforms drawn per block, whole frames at a time: 512 KiB of float64
 NOISE_CHUNK = 1 << 16
@@ -74,25 +76,22 @@ def _draw_index(pmf, u):
 def _decode_observed(sset, channel, config, pmf_s, used, rep_idx, uniq_y):
     """MAP strategy index for each observed output, smallest index on ties.
 
-    used and rep_idx are the set's `strategy_table`.
+    used and rep_idx are the set's `strategy_table`. Outputs are decoded in
+    blocks of SLAB_CELLS // (number of strategies) columns, so no posterior
+    slab passes SLAB_CELLS cells.
     """
-    rows = likelihood_rows(channel, config.F, used, uniq_y)
-    pmf_t = np.asarray(sset.pmf)
-    n_t = len(sset.multisymbols)
-    best = np.zeros(len(uniq_y))
-    best_t = np.full(len(uniq_y), -1, dtype=np.int64)
-    chunk = max(1, (1 << 22) // max(1, len(uniq_y)))
-    for lo in range(0, n_t, chunk):
-        posterior = mix_states(rows, rep_idx[lo : lo + chunk], pmf_s)
-        posterior *= pmf_t[lo : lo + chunk, None]
-        cand = posterior.argmax(axis=0)
-        cand_val = posterior[cand, np.arange(len(uniq_y))]
-        better = cand_val > best
-        best[better] = cand_val[better]
-        best_t[better] = cand[better] + lo
-    if np.any(best_t < 0):
-        raise ValueError("received output has zero probability under every strategy")
-    return best_t
+    pmf_t = np.asarray(sset.pmf)[:, None]
+    width = max(1, SLAB_CELLS // len(pmf_t))
+    t_hat = np.empty(len(uniq_y), dtype=np.int64)
+    for lo in range(0, len(uniq_y), width):
+        rows = likelihood_rows(channel, config.F, used, uniq_y[lo : lo + width])
+        posterior = mix_states(rows, rep_idx, pmf_s)
+        posterior *= pmf_t
+        best = posterior.argmax(axis=0)  # the first maximum: ties go to the smallest index
+        if not np.all(posterior[best, np.arange(len(best))] > 0):
+            raise ValueError("received output has zero probability under every strategy")
+        t_hat[lo : lo + width] = best
+    return t_hat
 
 
 def run_monte_carlo(channel, config, sset, n_frames, seed, trace=None):
@@ -106,6 +105,8 @@ def run_monte_carlo(channel, config, sset, n_frames, seed, trace=None):
     records.
     """
     F, J = config.F, channel.J
+    if sset.F != F:
+        raise ValueError("strategy set and frame config disagree on F")
     if n_frames < 1:
         raise ValueError("n_frames must be positive")
     if n_frames * FRAME_BYTES > MAX_FRAME_BYTES:
@@ -140,11 +141,18 @@ def run_monte_carlo(channel, config, sset, n_frames, seed, trace=None):
             y_block += letters[:, f]
 
     uniq_y, inverse = np.unique(y, return_inverse=True)
+    # the joint histogram holds int64 counts, their float copy, a mask and np.outer
+    cells = n_t * len(uniq_y)
+    if cells * 25 > MAX_FRAME_BYTES:
+        raise ValueError(
+            f"{n_t} strategies x {len(uniq_y)} observed outputs x 25 bytes per cell "
+            f"exceed {MAX_FRAME_BYTES} bytes"
+        )
     t_hat = _decode_observed(sset, channel, config, pmf_s, used, rep_idx, uniq_y)[inverse]
     symbol_errors = int(np.sum(t_hat != t_draw))
 
     joint = np.bincount(
-        t_draw.astype(np.int64) * len(uniq_y) + inverse, minlength=n_t * len(uniq_y)
+        t_draw.astype(np.int64) * len(uniq_y) + inverse, minlength=cells
     ).reshape(n_t, len(uniq_y)) / n_frames
     pt = joint.sum(axis=1)
     py = joint.sum(axis=0)

@@ -19,6 +19,13 @@ from .multisymbol import Multisymbol, basic_multisymbol, permute
 
 PMF_TOL = 1e-12
 MAX_PERMUTATION_F = 8
+# Bytes the graph build and the path peel hold per strategy of the constructed
+# set. The tracemalloc peak of build_weighted_graph plus decompose_paths is 968
+# bytes per strategy at F = 12, 1 618 at F = 14 and 1 812 at F = 15 (numpy
+# 2.4), where the graph's F * 2^(F-1) edges outnumber the L strategies fivefold.
+STRATEGY_BYTES = 2048
+# L x STRATEGY_BYTES above this is refused before the graph is built: F = 18..20
+MAX_SET_BYTES = 1 << 31
 
 
 def lcm_binomials(F):
@@ -90,8 +97,16 @@ def build_weighted_graph(F):
 
     Per layer, every outgoing weight is the floor or ceil of the average
     m_s / (F - s); the nodes needing a ceil edge on the two sides are matched
-    by a small augmenting-path flow, so the result is deterministic.
+    by a small augmenting-path flow, so the result is deterministic. A set
+    whose L strategies would pass MAX_SET_BYTES is refused before any of it
+    is built.
     """
+    L = lcm_binomials(F)
+    if L * STRATEGY_BYTES > MAX_SET_BYTES:
+        raise ValueError(
+            f"the F = {F} set of {L} strategies x {STRATEGY_BYTES} bytes "
+            f"exceeds {MAX_SET_BYTES} bytes"
+        )
     layers = tuple(tuple(enumerate_weight_class(F, s)) for s in range(F + 1))
     weights = []
     for s in range(F):
@@ -186,31 +201,24 @@ def _flip_path(end, parent, chosen, owners):
 def decompose_paths(graph):
     """Peel the weighted graph into L root-to-top paths, one multisymbol each.
 
-    Always follows the smallest next symbol that still has weight left, so
-    the output order is reproducible.
+    Path k takes, at each layer, the smallest next symbol with weight left
+    after paths 0..k-1. So the paths through a node, in path order, take its
+    out-edges in ascending successor order, each edge as often as its weight,
+    and one stable sort per layer gives every path its next symbol.
     """
     F = graph.F
     L = lcm_binomials(F)
-    residual = [dict(layer) for layer in graph.weights]
-    successors = [{x: covering_successors(F, x) for x in graph.layers[s]} for s in range(F)]
-    multis = []
-    for _ in range(L):
-        node = 0
-        reps = [0]
-        for s in range(F):
-            for x2 in successors[s][node]:
-                w = residual[s].get((node, x2), 0)
-                if w > 0:
-                    residual[s][(node, x2)] = w - 1
-                    node = x2
-                    break
-            else:
-                raise RuntimeError("path extraction stalled: weight totals inconsistent")
-            reps.append(node)
-        multis.append(Multisymbol(F, tuple(reps)))
-    if any(w != 0 for layer in residual for w in layer.values()):
-        raise RuntimeError("edge weight left over after extracting all paths")
-    return StrategySet(tuple(multis), tuple(1.0 / L for _ in range(L)))
+    reps = np.zeros((L, F + 1), dtype=np.int64)
+    for s, layer in enumerate(graph.weights):
+        edges = sorted(layer.items())
+        src, dst = np.array([edge for edge, _ in edges], dtype=np.int64).T
+        w = [count for _, count in edges]
+        order = np.argsort(reps[:, s], kind="stable")
+        if not np.array_equal(np.repeat(src, w), reps[order, s]):
+            raise RuntimeError(f"edge weights at layer {s} do not match the paths reaching it")
+        reps[order, s + 1] = np.repeat(dst, w)
+    multis = tuple(Multisymbol(F, tuple(row)) for row in reps.tolist())
+    return StrategySet(multis, tuple(1.0 / L for _ in range(L)))
 
 
 def full_permutation_set(F):

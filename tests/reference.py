@@ -3,7 +3,8 @@
 Everything here works on bit strings and plain dicts so that results never
 share code with the package under test. The scalar frame routines at the end
 take package objects but read only their fields: a channel's rows q0 and q1,
-a strategy set's representatives and law, and a config's F and a.
+a strategy set's representatives and law, and a config's F and a. The path
+peel at the very end reads only a layered graph's layers and edge weights.
 """
 
 from bisect import bisect_right
@@ -190,3 +191,35 @@ def map_decode(sset, channel, config, y):
     if best_t < 0:
         raise ValueError("received output has zero probability under every strategy")
     return best_t
+
+
+def peel_paths(graph):
+    """Representatives of the root-to-top paths, peeled one path at a time.
+
+    Every path takes, at each layer, the smallest next symbol whose edge still
+    has weight left. Reads only graph.layers and graph.weights.
+    """
+    F = len(graph.layers) - 1
+    residual = [dict(layer) for layer in graph.weights]
+    successors = [
+        {x: [x | (1 << i) for i in range(F) if not (x >> i) & 1] for x in graph.layers[s]}
+        for s in range(F)
+    ]
+    paths = []
+    for _ in range(sum(residual[0].values())):  # the root's multiplicity is L
+        node = 0
+        reps = [0]
+        for s in range(F):
+            for x2 in successors[s][node]:
+                w = residual[s].get((node, x2), 0)
+                if w > 0:
+                    residual[s][(node, x2)] = w - 1
+                    node = x2
+                    break
+            else:
+                raise RuntimeError("path extraction stalled")
+            reps.append(node)
+        paths.append(tuple(reps))
+    if any(w != 0 for layer in residual for w in layer.values()):
+        raise RuntimeError("edge weight left over after extracting all paths")
+    return paths

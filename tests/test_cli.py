@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -336,6 +337,28 @@ def test_construct_rejects_out_of_range_f(capsys, F):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: F must be an integer in 1..20\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "18"],
+        ["construct", "20"],
+        ["simulate", "--preset", "bsc", "--p", "0.1", "--a", "0.5", "--F", "20", "--frames", "9"],
+    ],
+)
+def test_oversized_set_is_refused_before_it_is_built(capsys, argv):
+    tracemalloc.start()
+    try:
+        assert run_cli(argv) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "strategies" in captured.err
 
 
 @pytest.mark.parametrize("F", ["1..1000000000000", "14,21"])

@@ -16,11 +16,13 @@ from reorderchan import (
     state_pmf,
     weight,
 )
+from reorderchan import simulate
 from reorderchan.cli import fmt, run_cli
 from reorderchan.simulate import (
     FRAME_BYTES,
     MAX_FRAME_BYTES,
     NOISE_CHUNK,
+    SLAB_CELLS,
     _decode_observed,
     _draw_index,
 )
@@ -112,12 +114,15 @@ def test_map_decode_noiseless_roundtrip():
             assert SET4.multisymbols[t_hat].reps[s] == x
 
 
-def test_map_decode_matches_vectorized_decode():
+def test_map_decode_matches_vectorized_decode(monkeypatch):
     cfg = FrameConfig(4, 0.35)
-    for kind, p in (("erasure", 0.2), ("bsc", 0.2), ("z", 0.2), ("bsc", 0.0)):
-        ch = channel_preset(kind, p)
-        ys = range(ch.J**4)
-        assert _decode_all(SET4, ch, cfg, ys) == [map_decode(SET4, ch, cfg, y) for y in ys]
+    # the default block, then blocks of one and of two output columns
+    for cells in (SLAB_CELLS, len(SET4), 2 * len(SET4)):
+        monkeypatch.setattr(simulate, "SLAB_CELLS", cells)
+        for kind, p in (("erasure", 0.2), ("bsc", 0.2), ("z", 0.2), ("bsc", 0.0)):
+            ch = channel_preset(kind, p)
+            ys = range(ch.J**4)
+            assert _decode_all(SET4, ch, cfg, ys) == [map_decode(SET4, ch, cfg, y) for y in ys]
 
 
 def test_map_decode_tie_goes_to_smallest_index():
@@ -139,6 +144,19 @@ def test_map_decode_rejects_impossible_output():
         map_decode(sset, ch, cfg, 0)
     with pytest.raises(ValueError):
         _decode_all(sset, ch, cfg, [0])
+
+
+@pytest.mark.parametrize("set_F", [3, 5])
+def test_run_monte_carlo_checks_f_before_any_draw(set_F):
+    sset = decompose_paths(build_weighted_graph(set_F))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="disagree on F"):
+            run_monte_carlo(channel_preset("erasure", 0.2), FrameConfig(4, 0.5), sset, 10**6, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_run_monte_carlo_is_deterministic():
@@ -383,6 +401,31 @@ def test_simulate_cli_refuses_oversized_draws(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert str(n_frames) in captured.err
+
+
+# erasure F = 6 at 1 000 frames observes hundreds of outputs for 60 strategies,
+# so a ceiling the frames just fit under is too small for the joint histogram
+JOINT_RUN = ("erasure", "0.2", "0.5", 6, 1000)
+
+
+def test_run_monte_carlo_refuses_an_oversized_joint(monkeypatch):
+    preset, p, a, F, n_frames = JOINT_RUN
+    monkeypatch.setattr(simulate, "MAX_FRAME_BYTES", n_frames * FRAME_BYTES)
+    sset = decompose_paths(build_weighted_graph(F))
+    cfg = FrameConfig(F, float(a))
+    with pytest.raises(ValueError, match="observed outputs"):
+        run_monte_carlo(channel_preset(preset, float(p)), cfg, sset, n_frames, 1)
+
+
+def test_simulate_cli_refuses_an_oversized_joint(monkeypatch, capsys):
+    preset, p, a, F, n_frames = JOINT_RUN
+    monkeypatch.setattr(simulate, "MAX_FRAME_BYTES", n_frames * FRAME_BYTES)
+    argv = ["simulate", "--preset", preset, "--p", p, "--a", a, "--F", str(F)]
+    assert run_cli(argv + ["--frames", str(n_frames)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "observed outputs" in captured.err
 
 
 def test_run_monte_carlo_memory_is_bounded_per_frame():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 
 import numpy as np
@@ -20,7 +21,14 @@ from reorderchan import (
     state_pmf,
     weight,
 )
-from reorderchan.strategy import covering_successors, strategy_table
+from reference import peel_paths
+from reorderchan.strategy import (
+    MAX_SET_BYTES,
+    STRATEGY_BYTES,
+    LayeredGraph,
+    covering_successors,
+    strategy_table,
+)
 
 LCM_TABLE = {1: 1, 2: 2, 3: 3, 4: 12, 5: 10, 6: 60, 7: 105, 8: 280, 9: 252, 10: 2520}
 
@@ -128,6 +136,35 @@ def test_decompose_covers_classes_evenly():
                 counts[m.reps[s]] = counts.get(m.reps[s], 0) + 1
             assert len(counts) == comb(F, s)
             assert set(counts.values()) == {representative_multiplicity(F, s)}
+
+
+def test_decompose_matches_the_reference_peel():
+    for F in range(1, 13):
+        graph = build_weighted_graph(F)
+        assert [m.reps for m in decompose_paths(graph).multisymbols] == peel_paths(graph)
+
+
+def test_decompose_rejects_inconsistent_weights():
+    # one unit too many leaves weight over, one too few stalls a path
+    graph = build_weighted_graph(4)
+    for (x, x2), delta in product(((0, 1), (1, 3)), (1, -1)):
+        weights = list(graph.weights)
+        s = weight(x)
+        weights[s] = {**weights[s], (x, x2): weights[s][x, x2] + delta}
+        bad = LayeredGraph(4, graph.layers, tuple(weights))
+        with pytest.raises(RuntimeError):
+            peel_paths(bad)
+        with pytest.raises(RuntimeError):
+            decompose_paths(bad)
+
+
+def test_graph_build_refuses_oversized_sets():
+    # L jumps from 680 680 at F = 17 to 12 252 240 at F = 18
+    for F in range(1, 18):
+        assert lcm_binomials(F) * STRATEGY_BYTES <= MAX_SET_BYTES
+    for F in (18, 19, 20):
+        with pytest.raises(ValueError, match=f"{lcm_binomials(F)} strategies"):
+            build_weighted_graph(F)
 
 
 def test_decompose_is_deterministic():
