@@ -36,7 +36,6 @@ from .multisymbol import (
     basic_multisymbol,
     is_minimal,
     multisymbol_strings,
-    permute,
 )
 from .simulate import run_monte_carlo
 from .strategy import (
@@ -74,7 +73,6 @@ __all__ = [
     "mutual_info_TY",
     "oracle_capacity",
     "outer_bound",
-    "permute",
     "representative_multiplicity",
     "row_entropy",
     "run_monte_carlo",

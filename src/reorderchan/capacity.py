@@ -90,21 +90,15 @@ def _is_staircase_orbit(sset):
     weight-graded representatives is `is_minimal`), and every weight-s
     symbol occurs exactly L / C(F, s) times. Then each strategy is a position
     permutation of the staircase and the induced input law is i.i.d.
-    Bernoulli(a).
+    Bernoulli(a). A weight-s symbol occurs only in column s of the table, so
+    one count over the table gives each entry's tally in its column; L
+    entries at L / C(F, s) apiece make C(F, s) symbols, the whole class.
     """
-    pmf = np.asarray(sset.pmf)
-    if np.any(pmf != pmf[0]):
+    reps = sset.reps
+    if np.any(sset.pmf != sset.pmf[0]) or np.any(reps[:, :-1] & ~reps[:, 1:]):
         return False
-    reps, _, _ = strategy_table(sset)
-    if np.any(reps[:, :-1] & ~reps[:, 1:]):
-        return False
-    n_t = len(reps)
-    for s in range(sset.F + 1):
-        size = comb(sset.F, s)
-        _, counts = np.unique(reps[:, s], return_counts=True)
-        if len(counts) != size or np.any(counts * size != n_t):
-            return False
-    return True
+    sizes = np.array([comb(sset.F, s) for s in range(sset.F + 1)])
+    return bool(np.all(np.bincount(reps.ravel())[reps] * sizes == len(reps)))
 
 
 def _type_ranks(F, J, cols):
@@ -162,8 +156,8 @@ def _enumerated_rates(channel, config, sset):
     """
     F = config.F
     pmf_s = state_pmf(config)
-    pmf_t = np.asarray(sset.pmf)
-    _, used, rep_idx = strategy_table(sset)
+    pmf_t = sset.pmf
+    used, rep_idx = strategy_table(sset)
     p_x = induced_input_pmf(sset, config)[used]
     n_t = len(pmf_t)
     total_cols = channel.J**F
@@ -188,8 +182,13 @@ def _enumerated_rates(channel, config, sset):
 def _checked_report(channel, config, method, rates):
     """Report (i_ty, i_xy, i_xy_given_t) once the split I(T;Y) = I(X;Y) - I(X;Y|T) closes."""
     i_ty, i_xy, i_xy_given_t = rates
-    if abs(i_ty - (i_xy - i_xy_given_t)) > DECOMPOSITION_TOL:
+    # each test is written so that a NaN rate fails it
+    if not abs(i_ty - (i_xy - i_xy_given_t)) <= DECOMPOSITION_TOL:
         raise RuntimeError("information split I(T;Y) = I(X;Y) - I(X;Y|T) failed to close")
+    # given T the state fixes X, so I(X;Y|T) <= H(X|T) = H(S), the binomial state entropy
+    h_state = entropy_bits(state_pmf(config))
+    if not -DECOMPOSITION_TOL <= i_xy_given_t <= h_state + DECOMPOSITION_TOL:
+        raise RuntimeError(f"I(X;Y|T) = {i_xy_given_t!r} lies outside [0, H(S) = {h_state!r}]")
     outer = outer_bound(channel, config)
     return CapacityReport(*rates, c_xy=outer, outer_bound=outer, method=method)
 

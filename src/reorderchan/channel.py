@@ -47,10 +47,11 @@ class BinaryInputChannel:
             raise ValueError("output alphabet needs at least two letters")
         if len(labels) != len(q0):
             raise ValueError("need exactly one label per output letter")
+        # both tests are written so that NaN fails them
         for row in (q0, q1):
-            if any(v < 0.0 or v > 1.0 for v in row):
+            if not all(0.0 <= v <= 1.0 for v in row):
                 raise ValueError("transition probabilities must lie in [0, 1]")
-            if abs(sum(row) - 1.0) > ROW_SUM_TOL:
+            if not abs(sum(row) - 1.0) <= ROW_SUM_TOL:
                 raise ValueError("transition row does not sum to 1")
 
     @property

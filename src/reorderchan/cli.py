@@ -4,6 +4,8 @@ import argparse
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .capacity import (
     ORACLE_ENV_VAR,
     errorless_capacity,
@@ -13,9 +15,8 @@ from .capacity import (
     sweep_point,
 )
 from .channel import PRESET_KINDS, channel_preset
-from .frame_space import MAX_FRAME_LEN, FrameConfig, check_frame_len
-from .multisymbol import multisymbol_strings
-from .simulate import run_monte_carlo
+from .frame_space import MAX_FRAME_LEN, FrameConfig, check_frame_len, symbol_string
+from .simulate import TRACE_CHUNK, run_monte_carlo
 from .strategy import build_weighted_graph, decompose_paths
 
 CSV_HEADER = "F,a,p,preset,c_constructed,c_oracle,c_xy,outer_bound,c_errorless"
@@ -67,9 +68,12 @@ def parse_prob_list(text):
 
 def _cmd_construct(args):
     check_frame_len(args.F)
-    sset = decompose_paths(build_weighted_graph(args.F))
-    for m in sset.multisymbols:
-        print(",".join(multisymbol_strings(m)))
+    reps = decompose_paths(build_weighted_graph(args.F)).reps
+    # the set sends every F-bit symbol, so each is rendered once and rows index the names
+    names = np.array([symbol_string(args.F, x) for x in range(1 << args.F)], dtype=object)
+    for lo in range(0, len(reps), TRACE_CHUNK):  # bounds the formatted rows held at once
+        rows = names[reps[lo : lo + TRACE_CHUNK]].tolist()
+        sys.stdout.writelines(",".join(row) + "\n" for row in rows)
     return 0
 
 
@@ -133,22 +137,9 @@ def format_sweep_csv(rows, normalize=False):
     lines = [CSV_HEADER]
     for row in rows:
         scale = 1.0 / row.F if normalize else 1.0
-        oracle = "" if row.c_oracle is None else fmt(row.c_oracle * scale)
-        lines.append(
-            ",".join(
-                [
-                    str(row.F),
-                    fmt(row.a),
-                    fmt(row.p),
-                    row.preset,
-                    fmt(row.c_constructed * scale),
-                    oracle,
-                    fmt(row.c_xy * scale),
-                    fmt(row.outer_bound * scale),
-                    fmt(row.c_errorless * scale),
-                ]
-            )
-        )
+        rates = (row.c_constructed, row.c_oracle, row.c_xy, row.outer_bound, row.c_errorless)
+        cells = ["" if v is None else fmt(v * scale) for v in rates]  # c_oracle may be None
+        lines.append(",".join([str(row.F), fmt(row.a), fmt(row.p), row.preset, *cells]))
     return "\n".join(lines) + "\n"
 
 

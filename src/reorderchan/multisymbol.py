@@ -35,21 +35,6 @@ def basic_multisymbol(F):
     return Multisymbol(F, tuple((1 << s) - 1 for s in range(F + 1)))
 
 
-def permute(m, pi):
-    """Apply a position permutation: the bit at position f moves to position pi[f]."""
-    F = m.F
-    if sorted(pi) != list(range(F)):
-        raise ValueError("pi must be a permutation of 0..F-1")
-    reps = []
-    for x in m.reps:
-        y = 0
-        for f in range(F):
-            if (x >> (F - 1 - f)) & 1:
-                y |= 1 << (F - 1 - pi[f])
-        reps.append(y)
-    return Multisymbol(F, tuple(reps))
-
-
 def is_minimal(m):
     """Whether every representative pair is as close as its weight gap allows."""
     reps = m.reps

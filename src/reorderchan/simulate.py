@@ -80,7 +80,7 @@ def _decode_observed(sset, channel, config, pmf_s, used, rep_idx, uniq_y):
     blocks of SLAB_CELLS // (number of strategies) columns, so no posterior
     slab passes SLAB_CELLS cells.
     """
-    pmf_t = np.asarray(sset.pmf)[:, None]
+    pmf_t = sset.pmf[:, None]
     width = max(1, SLAB_CELLS // len(pmf_t))
     t_hat = np.empty(len(uniq_y), dtype=np.int64)
     for lo in range(0, len(uniq_y), width):
@@ -115,11 +115,11 @@ def run_monte_carlo(channel, config, sset, n_frames, seed, trace=None):
         )
     rng = np.random.Generator(np.random.PCG64(seed))
     pmf_s = state_pmf(config)
-    n_t = len(sset.multisymbols)
+    n_t = len(sset)
 
     s_draw = _draw_index(pmf_s, rng.random(n_frames))
-    t_draw = _draw_index(np.asarray(sset.pmf), rng.random(n_frames))
-    _, used, rep_idx = strategy_table(sset)
+    t_draw = _draw_index(sset.pmf, rng.random(n_frames))
+    used, rep_idx = strategy_table(sset)
     xi = rep_idx[t_draw, s_draw]
 
     # letter = min(searchsorted(cum[bit], u, "right"), J - 1), summed into y by Horner's rule

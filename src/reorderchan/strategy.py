@@ -14,15 +14,16 @@ from math import comb, fsum, lcm
 
 import numpy as np
 
-from .frame_space import enumerate_weight_class, state_pmf
-from .multisymbol import Multisymbol, basic_multisymbol, permute
+from .frame_space import check_frame_len, enumerate_weight_class, state_pmf
+from .multisymbol import Multisymbol
 
 PMF_TOL = 1e-12
 MAX_PERMUTATION_F = 8
 # Bytes the graph build and the path peel hold per strategy of the constructed
-# set. The tracemalloc peak of build_weighted_graph plus decompose_paths is 968
-# bytes per strategy at F = 12, 1 618 at F = 14 and 1 812 at F = 15 (numpy
-# 2.4), where the graph's F * 2^(F-1) edges outnumber the L strategies fivefold.
+# set. The tracemalloc peak of build_weighted_graph plus decompose_paths is 293
+# bytes per strategy at F = 12, 925 at F = 14, 1 077 at F = 15 and 300 at F = 16
+# (numpy 2.4); at F = 14 and 15 the graph's F * 2^(F-1) edges outnumber the L
+# strategies fivefold. The built set keeps its (F+1) x 8-byte row and pmf entry.
 STRATEGY_BYTES = 2048
 # L x STRATEGY_BYTES above this is refused before the graph is built: F = 18..20
 MAX_SET_BYTES = 1 << 31
@@ -43,34 +44,55 @@ def representative_multiplicity(F, s):
     return L // comb(F, s)
 
 
-@dataclass(frozen=True)
 class StrategySet:
-    """A finite menu of multisymbols with a probability mass over them."""
+    """A finite menu of strategies with a probability mass over them.
 
-    multisymbols: tuple
-    pmf: tuple
+    reps is the L x (F+1) int64 table whose row t holds strategy t's
+    representative for each state 0..F, and pmf the law over the L rows;
+    both are read-only. reps may also be given as a sequence of Multisymbol.
+    An int64 array is not copied, so its owner must leave it unchanged.
+    """
 
-    def __post_init__(self):
-        ms = tuple(self.multisymbols)
-        pmf = tuple(float(w) for w in self.pmf)
-        object.__setattr__(self, "multisymbols", ms)
-        object.__setattr__(self, "pmf", pmf)
-        if not ms:
-            raise ValueError("strategy set cannot be empty")
-        if len(pmf) != len(ms):
-            raise ValueError("need one probability per multisymbol")
-        F = ms[0].F
-        if any(m.F != F for m in ms):
-            raise ValueError("all multisymbols must share one frame length")
-        if any(w < 0.0 for w in pmf) or abs(fsum(pmf) - 1.0) > PMF_TOL:
+    def __init__(self, reps, pmf):
+        if not isinstance(reps, np.ndarray):
+            reps = [m.reps if isinstance(m, Multisymbol) else m for m in reps]
+        try:
+            reps = np.asarray(reps)
+        except ValueError:
+            raise ValueError("strategies must share one frame length") from None
+        if reps.ndim != 2 or not len(reps) or reps.dtype.kind not in "iu":
+            raise ValueError("need a nonempty integer table, one row per strategy")
+        F = reps.shape[1] - 1
+        check_frame_len(F)
+        if np.any(reps < 0) or np.any(reps >= 1 << F):
+            raise ValueError("representative out of range")
+        self.reps = reps.astype(np.int64, copy=False).view()
+        for s in range(F + 1):  # shift-and-mask bit counts; int32 holds every F-bit symbol
+            col, count = self.reps[:, s].astype(np.int32), np.zeros(len(reps), dtype=np.int32)
+            for f in range(F):
+                count += (col >> f) & 1
+            if np.any(count != s):
+                raise ValueError(f"representative for state {s} must have weight {s}")
+        self.pmf = np.array(pmf, dtype=np.float64)
+        if self.pmf.shape != (len(reps),):
+            raise ValueError("need one probability per strategy")
+        # written so that NaN fails both comparisons
+        if not (np.all(self.pmf >= 0.0) and abs(fsum(self.pmf.tolist()) - 1.0) <= PMF_TOL):
             raise ValueError("pmf must be nonnegative and sum to 1")
+        self.reps.flags.writeable = False
+        self.pmf.flags.writeable = False
 
     @property
     def F(self):
-        return self.multisymbols[0].F
+        return self.reps.shape[1] - 1
 
     def __len__(self):
-        return len(self.multisymbols)
+        return len(self.reps)
+
+    @property
+    def multisymbols(self):
+        """The rows as Multisymbol objects, built on each access."""
+        return tuple(Multisymbol(self.F, row) for row in self.reps.tolist())
 
 
 @dataclass(frozen=True)
@@ -217,38 +239,40 @@ def decompose_paths(graph):
         if not np.array_equal(np.repeat(src, w), reps[order, s]):
             raise RuntimeError(f"edge weights at layer {s} do not match the paths reaching it")
         reps[order, s + 1] = np.repeat(dst, w)
-    multis = tuple(Multisymbol(F, tuple(row)) for row in reps.tolist())
-    return StrategySet(multis, tuple(1.0 / L for _ in range(L)))
+    return StrategySet(reps, np.full(L, 1.0 / L))
 
 
 def full_permutation_set(F):
-    """All F! position permutations of the basic multisymbol, equally weighted."""
+    """All F! position permutations of the staircase, equally weighted.
+
+    Permutation pi moves the bit at position f to position pi[f], so row s
+    of pi's strategy sets the bits 2^(F-1-pi[f]) for f >= F - s: a reversed
+    cumulative sum. Rows follow itertools.permutations order.
+    """
     if not 1 <= F <= MAX_PERMUTATION_F:
         raise ValueError(f"F must be in 1..{MAX_PERMUTATION_F}; the set grows as F!")
-    base = basic_multisymbol(F)
-    multis = [permute(base, pi) for pi in permutations(range(F))]
-    if len({m.reps for m in multis}) != len(multis):
-        raise RuntimeError("distinct permutations produced colliding multisymbols")
-    n = len(multis)
-    return StrategySet(tuple(multis), tuple(1.0 / n for _ in range(n)))
+    bits = 1 << (F - 1 - np.array(list(permutations(range(F))), dtype=np.int64))
+    reps = np.zeros((len(bits), F + 1), dtype=np.int64)
+    np.cumsum(bits[:, ::-1], axis=1, out=reps[:, 1:])
+    if len(np.unique(reps, axis=0)) != len(reps):
+        raise RuntimeError("distinct permutations produced colliding strategies")
+    return StrategySet(reps, np.full(len(reps), 1.0 / len(reps)))
 
 
 def strategy_table(sset):
-    """(reps, used, rep_idx): the L x (F+1) representatives and their distinct symbols.
+    """(used, rep_idx): the distinct symbols of the set's table and its rows as indexes.
 
     used lists the symbols any strategy sends, ascending, and rep_idx indexes
-    into it, so used[rep_idx] == reps.
+    into it, so used[rep_idx] == sset.reps.
     """
-    reps = np.array([m.reps for m in sset.multisymbols], dtype=np.int64)
-    used, rep_idx = np.unique(reps, return_inverse=True)
-    return reps, used, rep_idx.reshape(reps.shape)
+    used, rep_idx = np.unique(sset.reps, return_inverse=True)
+    return used, rep_idx.reshape(sset.reps.shape)
 
 
 def induced_input_pmf(sset, config):
     """Input law the set induces: each strategy sends its state-s representative."""
     if sset.F != config.F:
         raise ValueError("strategy set and frame config disagree on F")
-    reps, _, _ = strategy_table(sset)
     # bincount adds in input order: strategy by strategy, states ascending
-    mass = np.asarray(sset.pmf)[:, None] * state_pmf(config)
-    return np.bincount(reps.ravel(), weights=mass.ravel(), minlength=1 << config.F)
+    mass = sset.pmf[:, None] * state_pmf(config)
+    return np.bincount(sset.reps.ravel(), weights=mass.ravel(), minlength=1 << config.F)

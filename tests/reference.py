@@ -8,7 +8,7 @@ peel at the very end reads only a layered graph's layers and edge weights.
 """
 
 from bisect import bisect_right
-from itertools import accumulate, product
+from itertools import accumulate, permutations, product
 from math import comb, log2
 
 
@@ -145,6 +145,25 @@ def strategy_set_mutual_info(kind, p, a, strategies, pmf_t):
             if pr > 0:
                 joint[(t, y)] = pr
     return mutual_information(joint)
+
+
+def permutation_orbit(F):
+    """Every position permutation of the staircase 0^(F-s) 1^s, in itertools order.
+
+    Permutation pi moves the bit at position f (leftmost first) to position
+    pi[f], one bit at a time; each strategy is a tuple of F+1 integers.
+    """
+    orbit = []
+    for pi in permutations(range(F)):
+        row = []
+        for s in range(F + 1):
+            x = "0" * (F - s) + "1" * s
+            y = ["0"] * F
+            for f in range(F):
+                y[pi[f]] = x[f]
+            row.append(int("".join(y), 2))
+        orbit.append(tuple(row))
+    return orbit
 
 
 def frame_likelihood(channel, F, x, y):

@@ -527,6 +527,38 @@ def test_orbit_split_check_is_live(monkeypatch):
         mutual_info_TY(ch, cfg, sset)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "rates, message",
+    [
+        ((0.5, 1.0, 0.4), "split"),
+        ((NAN, 1.0, 0.4), "split"),
+        ((0.5, NAN, 0.5), "split"),
+        ((NAN, NAN, NAN), "split"),
+        ((1.1, 1.0, -0.1), "outside"),
+        ((-3.0, 2.0, 5.0), "outside"),
+    ],
+)
+def test_report_refuses_rates_that_break_a_check(monkeypatch, rates, message):
+    # the split must close, and 0 <= I(X;Y|T) <= H(S), about 2.03 bits at F = 4, a = 0.5
+    ch, cfg = channel_preset("bsc", 0.1), FrameConfig(4, 0.5)
+    assert entropy_bits(capacity.state_pmf(cfg)) < 5.0
+    monkeypatch.setattr(capacity, "_orbit_rates", lambda channel, config: rates)
+    with pytest.raises(RuntimeError, match=message):
+        secondary_capacity(ch, cfg)
+
+
+def test_conditional_rate_reaches_the_state_entropy_when_noiseless():
+    # the bound is tight: a noiseless channel reads X, and X given T carries H(S)
+    for F in (1, 4, 7):
+        cfg = FrameConfig(F, 0.3)
+        report = secondary_capacity(channel_preset("bsc", 0.0), cfg)
+        h_state = entropy_bits(capacity.state_pmf(cfg))
+        assert report.i_xy_given_t == pytest.approx(h_state, abs=1e-12)
+
+
 def _random_set(F, n, seed):
     """n strategies with a random representative per state and a random pmf."""
     rng = np.random.default_rng(seed)

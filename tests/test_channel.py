@@ -75,6 +75,15 @@ def test_channel_validation():
         BinaryInputChannel((0.5, 0.5), (0.5, 0.5), ("0", "1", "2"))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_channel_rejects_nonfinite_rows(bad):
+    # every comparison with NaN is False, so each check must be written to fail on it
+    with pytest.raises(ValueError, match="lie in"):
+        BinaryInputChannel((bad, 1.0), (0.0, 1.0), ("0", "1"))
+    with pytest.raises(ValueError, match="lie in"):
+        BinaryInputChannel((1.0, 0.0), (0.0, bad), ("0", "1"))
+
+
 def test_row_and_matrix():
     ch = channel_preset("z", 0.3)
     assert np.allclose(ch.row(0), [1.0, 0.0])

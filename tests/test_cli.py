@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -78,6 +79,30 @@ def test_construct_command(capsys):
         fields = line.split(",")
         assert len(fields) == 5
         assert all(len(f) == 4 and set(f) <= {"0", "1"} for f in fields)
+
+
+# sha256 of `construct F` stdout, F = 1..12: the set's rows, in peel order
+CONSTRUCT_DIGESTS = {
+    1: "8d66c089414bb76bc2ee5c11465c93257821752b4e08be4f1d70737b9fa10f0c",
+    2: "0788ea7403dc4c4997075128fd80e57de6a4457ac530320919c46bc048861f16",
+    3: "e6fcc506b565fec5283e8e63a84471a42021cedc7941fc95ee93876e75c4a155",
+    4: "155a1e5fb06d49d28e3c907b36e10e749dfb7670b6aadb0444ee3889e0eef846",
+    5: "db14b4c547b11dedf1748ce5edbd2531c60ff6bc69ab17d4ae8cbec720be9a96",
+    6: "f39cda0ffbaa9dfaa9f06c1797797ba9fc897f444a9ae8fca1210a383d6147de",
+    7: "49d486c9be12597c948d00263d3719e67a2520bfe45bf81586e5fd6ce3aadfb8",
+    8: "a38f86eb34179626a58f65020a93c5bec384f981ccfd8586797a417d6bc724cb",
+    9: "133501e4808ba3fb653ecbe8e8f3bcda34806db90c660ad221115d1cbb5b2c58",
+    10: "caaaaff166a28345a7d5a5a8d299d0cc8b847a046b75fd9cd385dd6683540568",
+    11: "7c2a05850d292f02701d36849dd399057ed533590b9e9df27e0441c66f1f829b",
+    12: "00a6b5ebc12f48c3fe5a0ba6a26b39a1940dffc40582f38cd1a7ee3cfbc724fc",
+}
+
+
+@pytest.mark.parametrize("F", sorted(CONSTRUCT_DIGESTS))
+def test_construct_keeps_its_bytes(capsys, F):
+    assert run_cli(["construct", str(F)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CONSTRUCT_DIGESTS[F]
 
 
 def test_construct_f7_count(capsys):

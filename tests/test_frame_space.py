@@ -197,7 +197,7 @@ def test_mix_states_matches_each_strategy_law():
     )
     for sset in sets:
         cfg = FrameConfig(sset.F, 0.35)
-        _, used, rep_idx = strategy_table(sset)
+        used, rep_idx = strategy_table(sset)
         for kind in ("erasure", "bsc", "z"):
             ch = channel_preset(kind, 0.2)
             mixed = mix_states(likelihood_rows(ch, sset.F, used), rep_idx, state_pmf(cfg))

@@ -11,7 +11,6 @@ from reorderchan import (
     is_minimal,
     likelihood_rows,
     multisymbol_strings,
-    permute,
     state_pmf,
 )
 from reorderchan.capacity import _all_maps
@@ -44,21 +43,6 @@ def test_multisymbol_validation():
         Multisymbol(2, (0, 3, 3))
     with pytest.raises(ValueError):
         Multisymbol(2, (0, 1, 7))
-
-
-def test_permute():
-    base = basic_multisymbol(3)
-    assert permute(base, (0, 1, 2)).reps == base.reps
-    # full reversal sends 001 to 100, 011 to 110
-    assert permute(base, (2, 1, 0)).reps == (0, 4, 6, 7)
-    assert permute(basic_multisymbol(4), (3, 2, 1, 0)).reps == (0, 8, 12, 14, 15)
-    with pytest.raises(ValueError):
-        permute(base, (0, 1, 1))
-
-
-def test_permute_preserves_minimality():
-    m = permute(basic_multisymbol(4), (1, 3, 0, 2))
-    assert is_minimal(m)
 
 
 def test_is_minimal():

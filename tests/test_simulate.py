@@ -98,7 +98,7 @@ def test_draw_index_equals_searchsorted():
 
 
 def _decode_all(sset, ch, cfg, ys):
-    _, used, rep_idx = strategy_table(sset)
+    used, rep_idx = strategy_table(sset)
     ys = np.asarray(ys, dtype=np.int64)
     return list(_decode_observed(sset, ch, cfg, state_pmf(cfg), used, rep_idx, ys))
 

@@ -21,7 +21,7 @@ from reorderchan import (
     state_pmf,
     weight,
 )
-from reference import peel_paths
+from reference import peel_paths, permutation_orbit
 from reorderchan.strategy import (
     MAX_SET_BYTES,
     STRATEGY_BYTES,
@@ -189,11 +189,44 @@ def test_strategy_set_validation():
         StrategySet((m,), (-1.0,))
     with pytest.raises(ValueError):
         StrategySet((m, m), (0.6, 0.6))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="one frame length"):
         StrategySet((m, basic_multisymbol(3)), (0.5, 0.5))
     two = StrategySet((m, m), (0.5, 0.5))
     assert two.F == 2
     assert len(two) == 2
+    # the same checks on a table, each with a valid pmf
+    bad_tables = [
+        ("state 2 must have weight 2", [[0, 1, 3], [0, 2, 1]]),
+        ("state 1 must have weight 1", [[0, 3, 3]]),
+        ("out of range", [[0, 1, 3], [0, 2, 7]]),
+        ("out of range", [[0, 1, 3], [-1, 1, 3]]),
+        ("integer table", [0, 1, 3]),
+        ("integer table", [[0.0, 1.0, 3.0]]),
+    ]
+    for message, table in bad_tables:
+        n = len(np.array(table, ndmin=2))
+        with pytest.raises(ValueError, match=message):
+            StrategySet(np.array(table), np.full(n, 1.0 / n))
+    table = StrategySet(np.array([[0, 1, 3], [0, 2, 3]]), (0.25, 0.75))
+    assert table.reps.dtype == np.int64 and table.pmf.dtype == np.float64
+    assert [m.reps for m in table.multisymbols] == [(0, 1, 3), (0, 2, 3)]
+    assert np.array_equal(StrategySet(table.multisymbols, table.pmf).reps, table.reps)
+    for array in (table.reps, table.pmf):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    # an int64 table is held as a read-only view; its owner's array stays writeable
+    owned = np.array([[0, 1, 3]])
+    assert StrategySet(owned, (1.0,)).reps.base is owned
+    assert owned.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_strategy_set_rejects_nonfinite_pmf(bad):
+    # every comparison with NaN is False, so each check must be written to fail on it
+    m = basic_multisymbol(2)
+    for pmf in ((bad,), (bad, 0.5), (0.5, bad)):
+        with pytest.raises(ValueError, match="pmf"):
+            StrategySet((m,) * len(pmf), pmf)
 
 
 def test_full_permutation_set():
@@ -205,6 +238,20 @@ def test_full_permutation_set():
     assert all(is_minimal(m) for m in sset.multisymbols)
     with pytest.raises(ValueError):
         full_permutation_set(9)
+
+
+def test_full_permutation_set_matches_the_reference_orbit():
+    for F in range(1, 8):
+        rows = [tuple(row) for row in full_permutation_set(F).reps.tolist()]
+        assert rows == permutation_orbit(F)
+
+
+def test_permutation_set_starts_at_the_identity_and_ends_at_the_reversal():
+    # itertools.permutations order; the full reversal sends 001 to 100 and 011 to 110
+    three = full_permutation_set(3).reps.tolist()
+    assert three[0] == [0, 1, 3, 7]
+    assert three[-1] == [0, 4, 6, 7]
+    assert full_permutation_set(4).reps.tolist()[-1] == [0, 8, 12, 14, 15]
 
 
 def test_permutation_set_orbit_counts():
@@ -265,7 +312,7 @@ def test_induced_input_pmf_checks_f():
 def test_strategy_table_indexes_used_symbols():
     twice = StrategySet((basic_multisymbol(3), basic_multisymbol(3)), (0.5, 0.5))
     for sset in (decompose_paths(build_weighted_graph(4)), full_permutation_set(3), twice):
-        reps, used, rep_idx = strategy_table(sset)
-        assert np.array_equal(reps, [m.reps for m in sset.multisymbols])
-        assert np.array_equal(used[rep_idx], reps)
+        used, rep_idx = strategy_table(sset)
+        assert np.array_equal(sset.reps, [m.reps for m in sset.multisymbols])
+        assert np.array_equal(used[rep_idx], sset.reps)
         assert used.tolist() == sorted({x for m in sset.multisymbols for x in m.reps})
