@@ -28,8 +28,10 @@ BA_TOL = 1e-10
 BA_MAX_ITER = 100_000
 ORACLE_MAX_ENTRIES = 2_000_000
 ORACLE_ENV_VAR = "REORDERCHAN_ORACLE_MAX_ENTRIES"
-BLOCK_COLS = 8192  # bounds the likelihood slab width when J**F is large
-SLAB_CELLS = 1 << 22  # float64 cells in one strategies x outputs slab: 32 MiB
+# output columns per block of `_orbit_rates`, the only reader: the block
+# boundaries fix the float sum order behind the printed `capacity` bytes
+BLOCK_COLS = 8192
+SLAB_CELLS = 1 << 17  # float64 cells in one strategies x outputs slab: 1 MiB
 
 
 @dataclass(frozen=True)
@@ -152,27 +154,25 @@ def _enumerated_rates(channel, config, sset):
 
     One blocked pass over the output space mixes each block's likelihood rows
     twice: by strategy, for H(Y) and the per-strategy output entropies, and
-    by symbol under the induced input law, for the H(Y) inside I(X;Y).
+    by symbol under the induced input law, for the H(Y) inside I(X;Y). A
+    block holds SLAB_CELLS // max(strategies, symbols) columns, so neither
+    slab passes SLAB_CELLS cells.
     """
     F = config.F
     pmf_s = state_pmf(config)
     pmf_t = sset.pmf
     used, rep_idx = strategy_table(sset)
     p_x = induced_input_pmf(sset, config)[used]
-    n_t = len(pmf_t)
     total_cols = channel.J**F
-    chunk = max(1, SLAB_CELLS // BLOCK_COLS)  # strategies per slab
-    h_t = np.zeros(n_t)
+    width = max(1, SLAB_CELLS // max(len(pmf_t), len(used)))
+    h_t = np.zeros(len(pmf_t))
     h_y = h_y_by_x = 0.0
-    for start in range(0, total_cols, BLOCK_COLS):
-        cols = np.arange(start, min(start + BLOCK_COLS, total_cols), dtype=np.int64)
+    for start in range(0, total_cols, width):
+        cols = np.arange(start, min(start + width, total_cols), dtype=np.int64)
         rows = likelihood_rows(channel, F, used, cols)
-        mix = np.zeros(len(cols))
-        for lo in range(0, n_t, chunk):
-            trows = mix_states(rows, rep_idx[lo : lo + chunk], pmf_s)
-            mix += pmf_t[lo : lo + chunk] @ trows
-            h_t[lo : lo + chunk] += entropy_bits(trows)
-        h_y += entropy_bits(mix)
+        trows = mix_states(rows, rep_idx, pmf_s)
+        h_t += entropy_bits(trows)
+        h_y += entropy_bits(pmf_t @ trows)
         h_y_by_x += entropy_bits(p_x @ rows)
     noise = _mean_noise_entropy(channel, config)
     h_y_given_t = float(pmf_t @ h_t)

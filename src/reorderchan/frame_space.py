@@ -86,22 +86,62 @@ def output_digits(F, J, cols):
     return digits
 
 
+def _prefix_table(q, k):
+    """The 2^k x J^k table of P(first k letters | first k bits), from q = (2, J) rows.
+
+    Level j+1 is level j times q[b, d], written through the (2^j, 2, J^j, J)
+    view of level j+1: row 2x + b, column J y + d. So every entry is
+    ((1.0 * q[b_0, d_0]) * q[b_1, d_1]) * ... in position order.
+    """
+    J = q.shape[1]
+    table = np.ones((1, 1))
+    for _ in range(k):
+        nx, ny = table.shape
+        nxt = np.empty((2 * nx, J * ny))
+        view = nxt.reshape(nx, 2, ny, J)
+        for b in range(2):
+            for d in range(J):
+                np.multiply(table, q[b, d], out=view[:, b, :, d])
+        table = nxt
+    return table
+
+
 def likelihood_rows(channel, F, xs, cols=None):
     """Rows P(y | x) for each symbol in xs over the given output columns.
 
     cols defaults to the whole output space; pass an index array to keep
     memory bounded when J**F is large.
+
+    P(y | x) is the product over positions of q_{x_f}(y_f). The first k
+    factors come from a prefix table shared by every cell with the same
+    first k bits and letters, k as deep as a 2^k x J^k table stays within the
+    len(xs) x len(cols) slab. Positions k..F-1 are multiplied in one at a
+    time. Each entry is still ((1.0 * a_0) * a_1) * ... * a_{F-1} in position
+    order, so the bits match a fold over all F positions.
     """
     J = channel.J
-    if cols is None:
-        cols = np.arange(J**F, dtype=np.int64)
-    digits = output_digits(F, J, cols)
-    bits = output_digits(F, 2, xs)
-    q0, q1 = channel.matrix()
-    rows = np.ones((len(bits), len(digits)))
-    for f in range(F):
+    q = channel.matrix()
+    xs = np.asarray(xs, dtype=np.int64)
+    whole = cols is None
+    cols = np.arange(J**F, dtype=np.int64) if whole else np.asarray(cols, dtype=np.int64)
+    k = 0
+    while k < F and (2 * J) ** (k + 1) <= len(xs) * len(cols):
+        k += 1
+    table = _prefix_table(q, k)
+    row_idx, col_idx = xs >> (F - k), cols // J ** (F - k)
+    # (2J)^k <= len(xs) len(cols) means 2^k <= len(xs) or J^k <= len(cols), so
+    # taking first along the axis that does not grow keeps the step within the slab
+    if J**k <= len(cols):
+        rows = np.take(table, row_idx, axis=0)
+        if not (whole and k == F):
+            rows = np.take(rows, col_idx, axis=1)
+    else:
+        rows = np.take(np.take(table, col_idx, axis=1), row_idx, axis=0)
+    digits = output_digits(F - k, J, cols)
+    bits = output_digits(F - k, 2, xs)
+    for f in range(F - k):
         d = digits[:, f]
-        rows *= np.where(bits[:, f, None] == 1, q1[d], q0[d])
+        rows *= np.where(bits[:, f, None] == 1, q[1][d], q[0][d])
     return rows
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb, log2
 
 import numpy as np
@@ -23,6 +24,7 @@ from reorderchan import (
     full_permutation_set,
     induced_input_pmf,
     is_minimal,
+    likelihood_rows,
     multisymbol_strings,
     mutual_info_TY,
     oracle_capacity,
@@ -41,6 +43,7 @@ from reorderchan.capacity import (
     strategy_space_size,
 )
 from reorderchan.frame_space import symbol_string
+from reorderchan.strategy import strategy_table
 
 FIG_PAIR = decompose_paths(build_weighted_graph(2))
 
@@ -577,12 +580,41 @@ def test_random_set_reports_enumerated():
 
 
 def test_general_rates_do_not_depend_on_block_width(monkeypatch):
-    # 729 erasure outputs at F = 6: one block by default, eight of 100 here,
-    # so both H(Y) sums and the split check run across block boundaries
+    # 729 erasure outputs at F = 6: one block by default, then blocks of 100
+    # columns and of 1, so both H(Y) sums and the split check run across
+    # block boundaries
     ch, cfg = channel_preset("erasure", 0.2), FrameConfig(6, 0.4)
     sset = _random_set(6, 50, seed=5)
+    slab_rows = max(len(sset), len(strategy_table(sset)[0]))
+    widths = []
+
+    def spy(channel, F, xs, cols=None):
+        widths.append(len(cols))
+        return likelihood_rows(channel, F, xs, cols)
+
+    monkeypatch.setattr(capacity, "likelihood_rows", spy)
     whole = mutual_info_TY(ch, cfg, sset)
-    monkeypatch.setattr(capacity, "BLOCK_COLS", 100)
-    blocked = mutual_info_TY(ch, cfg, sset)
-    for name in ("i_ty", "i_xy", "i_xy_given_t"):
-        assert getattr(blocked, name) == pytest.approx(getattr(whole, name), abs=1e-12), name
+    assert widths == [729]
+    for width in (100, 1):
+        widths.clear()
+        monkeypatch.setattr(capacity, "SLAB_CELLS", width * slab_rows)
+        blocked = mutual_info_TY(ch, cfg, sset)
+        assert max(widths) == width and sum(widths) == 729
+        for name in ("i_ty", "i_xy", "i_xy_given_t"):
+            assert getattr(blocked, name) == pytest.approx(getattr(whole, name), abs=1e-12), name
+
+
+def test_general_rates_stay_within_a_few_slabs_of_memory():
+    # 200 strategies over erasure F = 8: the whole 6561-column table of the
+    # used symbols would pass 10 MB; blocks of SLAB_CELLS cells keep the peak low
+    ch, cfg = channel_preset("erasure", 0.2), FrameConfig(8, 0.4)
+    sset = _random_set(8, 200, seed=11)
+    assert len(set(sset.pmf)) > 1
+    tracemalloc.start()
+    try:
+        report = mutual_info_TY(ch, cfg, sset)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.method == "enumerated"
+    assert peak < 8 << 20, peak

@@ -19,6 +19,7 @@ from reorderchan import (
     state_pmf,
     weight,
 )
+from reorderchan import frame_space
 from reorderchan.capacity import _all_maps
 from reorderchan.frame_space import mix_states, output_string, symbol_string
 from reorderchan.strategy import strategy_table
@@ -112,22 +113,64 @@ def test_likelihood_rows_column_subset():
     assert np.allclose(likelihood_rows(ch, 3, [1, 6], cols), full[:, cols])
 
 
-def test_likelihood_rows_equal_the_gathered_factor_product():
-    # the per-position (symbols x columns) gather it replaced, factors multiplied in the same order
+def _folded_rows(ch, F, xs, cols):
+    """The position-by-position fold likelihood_rows replaced: ones, times a_0, ..., a_{F-1}."""
+    qmat = ch.matrix()
+    xs = np.asarray(xs, dtype=np.int64)
+    cols = np.arange(ch.J**F) if cols is None else np.asarray(cols)
+    rows = np.ones((len(xs), len(cols)))
+    for f in range(F):
+        d = (cols // ch.J ** (F - 1 - f)) % ch.J
+        b = (xs >> (F - 1 - f)) & 1
+        rows *= qmat[b][:, d]
+    return rows
+
+
+def test_likelihood_rows_equal_the_gathered_factor_product(monkeypatch):
+    # every prefix depth k (0, between, F) against the fold, bit for bit
+    depths = []
+    prefix_table = frame_space._prefix_table
+
+    def spy(q, k):
+        depths.append(k)
+        return prefix_table(q, k)
+
+    monkeypatch.setattr(frame_space, "_prefix_table", spy)
     four = BinaryInputChannel((0.4, 0.3, 0.2, 0.1), (0.1, 0.1, 0.1, 0.7), "abcd")
     rng = np.random.default_rng(4)
-    for ch in (channel_preset("erasure", 0.3), channel_preset("bsc", 0.1), four):
-        qmat = ch.matrix()
-        for F in range(1, 7):
-            xs = rng.choice(1 << F, size=min(5, 1 << F), replace=False)
-            for cols in (None, np.sort(rng.choice(ch.J**F, size=min(40, ch.J**F), replace=False))):
-                full = np.arange(ch.J**F) if cols is None else cols
-                digits = [[(y // ch.J ** (F - 1 - f)) % ch.J for f in range(F)] for y in full]
-                want = np.ones((len(xs), len(full)))
-                for f in range(F):
-                    bits = [(x >> (F - 1 - f)) & 1 for x in xs]
-                    want *= qmat[bits][:, [d[f] for d in digits]]
-                assert np.array_equal(likelihood_rows(ch, F, xs, cols), want)
+    for ch in (*(channel_preset(kind, 0.3) for kind in ("erasure", "bsc", "z")), four):
+        J, seen = ch.J, set()
+        for F in range(1, 10):
+            n_y = J**F
+            row_sets = (
+                list(range(1 << F)),
+                np.sort(rng.choice(1 << F, size=rng.integers(1, (1 << F) + 1), replace=False)),
+                [(1 << s) - 1 for s in range(F + 1)],
+                [int(rng.integers(1 << F))],
+                [],
+            )
+            col_sets = (
+                None,
+                np.arange(1, min(n_y, 1 + 3 * J ** (F // 2))),
+                np.sort(rng.choice(n_y, size=min(60, n_y), replace=False)),
+            )
+            for xs in row_sets:
+                for cols in col_sets:
+                    n_cols = n_y if cols is None else len(cols)
+                    if len(xs) * n_cols > 1 << 20:
+                        continue
+                    got = likelihood_rows(ch, F, xs, cols)
+                    k = depths[-1]
+                    seen.add("0" if k == 0 else "F" if k == F else "between")
+                    assert np.array_equal(got, _folded_rows(ch, F, xs, cols)), (F, xs, cols)
+        assert seen == {"0", "between", "F"}
+    # the staircase rows x one column block of `_orbit_rates`
+    blocks = ((channel_preset("bsc", 0.1), 0), (channel_preset("erasure", 0.1), 8192))
+    for ch, start in blocks:
+        F = 12
+        stair = [(1 << s) - 1 for s in range(F + 1)]
+        cols = np.arange(start, min(start + 8192, ch.J**F))
+        assert np.array_equal(likelihood_rows(ch, F, stair, cols), _folded_rows(ch, F, stair, cols))
 
 
 def test_frame_likelihood_values():
