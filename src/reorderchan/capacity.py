@@ -6,6 +6,7 @@ the noisy frame, so rates of interest are I(T;Y), its parts I(X;Y) and
 I(X;Y|T), and the weight-class-constrained maximum of I(X;Y).
 """
 
+import functools
 import os
 from dataclasses import dataclass
 from math import comb, log2
@@ -298,16 +299,17 @@ def equivalent_channel_matrix(channel, config):
     return mix_states(rows, _all_maps(F), state_pmf(config))
 
 
-def orbit_channel(channel, config):
-    """(orbit_sizes, h): S_F orbits of strategy maps and each orbit's output entropy.
+@functools.cache
+def _map_orbits(F):
+    """(orbit_sizes, reps): the S_F orbits of strategy maps, which depend on F alone.
 
     Permuting packet positions permutes the bit columns of every
     representative at once, so two maps share an orbit exactly when their
-    per-position columns (bit f of rep_0..rep_F) form the same multiset. The
-    channel is the same at every position, so W(pi y | pi t) = W(y | t) and
-    every member of an orbit has the output entropy h of its representative.
+    per-position columns (bit f of rep_0..rep_F) form the same multiset.
+    reps holds the first member of each orbit in `_all_maps` order. Both
+    arrays are read-only, since every caller in the process shares them.
+    The cache keeps one entry per F, which is small: 374 orbits at F = 6.
     """
-    F = config.F
     maps = _all_maps(F)
     shifts = np.arange(F - 1, -1, -1, dtype=np.int64)
     cols = np.zeros((len(maps), F), dtype=np.int64)
@@ -318,9 +320,22 @@ def orbit_channel(channel, config):
     for f in range(F):
         key = (key << (F + 1)) | cols[:, f]
     _, first, orbit_sizes = np.unique(key, return_index=True, return_counts=True)
+    reps = maps[first]
+    orbit_sizes.flags.writeable = reps.flags.writeable = False
+    return orbit_sizes, reps
+
+
+def orbit_channel(channel, config):
+    """(orbit_sizes, h): S_F orbits of strategy maps and each orbit's output entropy.
+
+    The channel is the same at every position, so W(pi y | pi t) = W(y | t)
+    and every member of an orbit has the output entropy h of its
+    representative. The orbits come from `_map_orbits`, once per process per F.
+    """
+    F = config.F
+    orbit_sizes, reps = _map_orbits(F)
     rows = likelihood_rows(channel, F, list(range(1 << F)))
-    h = entropy_bits(mix_states(rows, maps[first], state_pmf(config)))
-    return orbit_sizes, h
+    return orbit_sizes, entropy_bits(mix_states(rows, reps, state_pmf(config)))
 
 
 def blahut_arimoto(W, tol=BA_TOL, max_iter=BA_MAX_ITER, row_const=None, r0=None):

@@ -1,6 +1,7 @@
 """Command line front end: construct, capacity, oracle, simulate, sweep."""
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -161,7 +162,12 @@ def _cmd_sweep(args):
     return 0
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser(oracle_limit):
+    """The argparse tree; only its epilog, which names the ceiling, depends on the argument.
+
+    Parsing never mutates the tree, so every call under one ceiling shares it.
+    """
     parser = argparse.ArgumentParser(
         prog="reorderchan",
         description="Capacity and strategy construction for the packet-reordering channel.",

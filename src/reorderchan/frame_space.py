@@ -6,6 +6,7 @@ letter indices, leftmost digit first. Ascending integers therefore match
 lexicographic order on the printed strings.
 """
 
+import operator
 from dataclasses import dataclass
 from math import comb
 
@@ -15,9 +16,18 @@ MAX_FRAME_LEN = 20
 
 
 def check_frame_len(F):
-    """Refuse a frame length outside 1..MAX_FRAME_LEN before anything is sized by it."""
-    if not isinstance(F, int) or not 1 <= F <= MAX_FRAME_LEN:
+    """F as a plain int, refused outside 1..MAX_FRAME_LEN before anything is sized by it.
+
+    Any integer type, numpy's included, passes through `operator.index`. A
+    bool is refused although it is an int, and so is a float, even a whole one.
+    """
+    try:
+        n = None if isinstance(F, bool) else operator.index(F)
+    except TypeError:
+        n = None
+    if n is None or not 1 <= n <= MAX_FRAME_LEN:
         raise ValueError(f"F must be an integer in 1..{MAX_FRAME_LEN}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -28,7 +38,7 @@ class FrameConfig:
     a: float
 
     def __post_init__(self):
-        check_frame_len(self.F)
+        object.__setattr__(self, "F", check_frame_len(self.F))  # frozen: stored as a plain int
         if not 0.0 <= self.a <= 1.0:
             raise ValueError("a must be in [0, 1]")
 

@@ -109,6 +109,8 @@ def run_monte_carlo(channel, config, sset, n_frames, seed, trace=None):
         raise ValueError("strategy set and frame config disagree on F")
     if n_frames < 1:
         raise ValueError("n_frames must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     if n_frames * FRAME_BYTES > MAX_FRAME_BYTES:
         raise ValueError(
             f"{n_frames} frames x {FRAME_BYTES} bytes per frame exceed {MAX_FRAME_BYTES} bytes"

@@ -366,6 +366,29 @@ def test_oracle_solve_keeps_the_all_maps_ceiling(monkeypatch):
     assert capacity.oracle_solve(ch, cfg).gap < 1e-10
 
 
+def test_map_orbits_are_read_only_and_equal_a_fresh_partition():
+    for F in range(1, 7):
+        orbit_sizes, reps = capacity._map_orbits(F)
+        assert capacity._map_orbits(F)[1] is reps
+        want_sizes, want_reps = capacity._map_orbits.__wrapped__(F)
+        assert np.array_equal(orbit_sizes, want_sizes) and np.array_equal(reps, want_reps)
+        assert reps.shape == (len(orbit_sizes), F + 1)
+        for arr in (orbit_sizes, reps):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
+
+def test_a_cached_partition_does_not_lift_the_ceiling(monkeypatch):
+    ch, cfg = channel_preset("bsc", 0.2), FrameConfig(6, 0.5)
+    monkeypatch.setenv(ORACLE_ENV_VAR, str(strategy_space_size(6) * 2**6))
+    assert capacity.oracle_solve(ch, cfg).gap < 1e-10
+    calls = capacity._map_orbits.cache_info()
+    monkeypatch.delenv(ORACLE_ENV_VAR)
+    with pytest.raises(OracleTooLarge, match="162000 x 64 entries"):
+        capacity.oracle_solve(ch, cfg)
+    assert capacity._map_orbits.cache_info() == calls
+
+
 def test_sweep_point_fields():
     row = sweep_point("erasure", 0.2, 0.5, 2)
     report = secondary_capacity(channel_preset("erasure", 0.2), FrameConfig(2, 0.5))

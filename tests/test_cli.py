@@ -413,3 +413,82 @@ def test_unwritable_output_file_is_one_line_error(tmp_path, capsys, args):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert captured.err.count("\n") == 1
+
+
+def _cli_bytes(capsys, argv):
+    code = run_cli(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+CAPACITY_ARGV = ["capacity", "--preset", "erasure", "--p", "0.2", "--a", "0.5", "--F", "4"]
+HELP_ARGVS = [["--help"]] + [
+    [cmd, "--help"] for cmd in ("construct", "capacity", "oracle", "simulate", "sweep")
+]
+
+
+def test_repeated_calls_under_one_ceiling_build_the_parser_once(capsys, monkeypatch):
+    monkeypatch.delenv("REORDERCHAN_ORACLE_MAX_ENTRIES", raising=False)
+    cli.build_parser.cache_clear()
+    for argv in (CAPACITY_ARGV, ["construct", "3"], ["construct", "0"], ["--help"], []):
+        run_cli(argv)
+    capsys.readouterr()
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+
+
+def test_help_epilog_follows_the_ceiling_between_calls(capsys, monkeypatch):
+    def epilog():
+        code, out, _ = _cli_bytes(capsys, ["--help"])
+        assert code == 0
+        return " ".join(out.split())
+
+    monkeypatch.delenv("REORDERCHAN_ORACLE_MAX_ENTRIES", raising=False)
+    assert "tables over 2000000 entries" in epilog()
+    monkeypatch.setenv("REORDERCHAN_ORACLE_MAX_ENTRIES", "12345")
+    assert "tables over 12345 entries" in epilog()
+    monkeypatch.delenv("REORDERCHAN_ORACLE_MAX_ENTRIES")
+    assert "tables over 2000000 entries" in epilog()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["capacity", "--preset", "erasure", "--F", "3"],
+        ["capacity", "--preset", "laplace", "--p", "0.1", "--a", "0.5", "--F", "3"],
+        ["oracle", "--F", "x"],
+        ["nosuchcommand"],
+        [],
+    ],
+)
+def test_a_failed_parse_leaves_the_next_call_as_a_fresh_one(capsys, bad):
+    cli.build_parser.cache_clear()
+    fresh = [_cli_bytes(capsys, argv) for argv in (CAPACITY_ARGV, ["capacity", "--help"])]
+    cli.build_parser.cache_clear()
+    code, out, err = _cli_bytes(capsys, bad)
+    assert code == 2 and out == "" and err.startswith("usage: reorderchan")
+    again = [_cli_bytes(capsys, argv) for argv in (CAPACITY_ARGV, ["capacity", "--help"])]
+    assert cli.build_parser.cache_info().misses == 1
+    assert again == fresh
+
+
+@pytest.mark.parametrize("ceiling", [None, "777"])
+def test_help_from_the_shared_parser_matches_a_fresh_process(capsys, monkeypatch, ceiling):
+    monkeypatch.setenv("COLUMNS", "80")
+    if ceiling is None:
+        monkeypatch.delenv("REORDERCHAN_ORACLE_MAX_ENTRIES", raising=False)
+    else:
+        monkeypatch.setenv("REORDERCHAN_ORACLE_MAX_ENTRIES", ceiling)
+    run_cli(CAPACITY_ARGV)  # the parser in use has already parsed a call
+    capsys.readouterr()
+    for argv in HELP_ARGVS:
+        in_process = _cli_bytes(capsys, argv)
+        proc = subprocess.run(
+            [sys.executable, "-m", "reorderchan", *argv],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert in_process == (proc.returncode, proc.stdout, proc.stderr), argv
+        if argv == ["--help"]:
+            assert f"tables over {ceiling or 2000000} entries" in " ".join(proc.stdout.split())

@@ -38,6 +38,29 @@ def test_frame_config_validation():
         FrameConfig(3, 1.1)
 
 
+@pytest.mark.parametrize(
+    "F", [np.int64(4), np.int32(4), np.int8(4), np.uint16(4), 4], ids=lambda F: type(F).__name__
+)
+def test_frame_config_stores_any_integer_f_as_int(F):
+    cfg = FrameConfig(F, 0.5)
+    assert type(cfg.F) is int and cfg.F == 4
+    assert type(frame_space.check_frame_len(F)) is int
+    assert cfg == FrameConfig(4, 0.5)
+
+
+@pytest.mark.parametrize(
+    "F",
+    [True, False, np.bool_(True), 4.0, np.float64(4.0), "4", None, 0, 21, -1, np.int64(21)],
+    ids=["True", "False", "np-bool", "float", "np-float64", "str", "None"]
+    + ["0", "21", "-1", "np-int64-21"],
+)
+def test_frame_config_refuses_f_that_is_not_an_integer_in_range(F):
+    with pytest.raises(ValueError, match=r"^F must be an integer in 1\.\.20$"):
+        frame_space.check_frame_len(F)
+    with pytest.raises(ValueError, match=r"^F must be an integer in 1\.\.20$"):
+        FrameConfig(F, 0.5)
+
+
 def test_state_pmf_values():
     assert np.allclose(state_pmf(FrameConfig(2, 0.5)), [0.25, 0.5, 0.25])
     assert np.allclose(state_pmf(FrameConfig(4, 0.5)), np.array([1, 4, 6, 4, 1]) / 16)

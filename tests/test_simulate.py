@@ -403,6 +403,25 @@ def test_simulate_cli_refuses_oversized_draws(capsys):
     assert str(n_frames) in captured.err
 
 
+def _no_draws(*args):
+    raise AssertionError("a frame was drawn before the seed was checked")
+
+
+def test_run_monte_carlo_refuses_a_negative_seed_before_any_draw(monkeypatch):
+    monkeypatch.setattr(simulate, "_draw_index", _no_draws)
+    with pytest.raises(ValueError, match=r"^seed must be a nonnegative integer, got -1$"):
+        run_monte_carlo(channel_preset("bsc", 0.1), FrameConfig(4, 0.5), SET4, 10, -1)
+
+
+def test_simulate_cli_refuses_a_negative_seed(monkeypatch, capsys):
+    monkeypatch.setattr(simulate, "_draw_index", _no_draws)
+    argv = ["simulate", "--preset", "bsc", "--p", "0.1", "--a", "0.5", "--F", "4"]
+    assert run_cli(argv + ["--frames", "10", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be a nonnegative integer, got -1\n"
+
+
 # erasure F = 6 at 1 000 frames observes hundreds of outputs for 60 strategies,
 # so a ceiling the frames just fit under is too small for the joint histogram
 JOINT_RUN = ("erasure", "0.2", "0.5", 6, 1000)
