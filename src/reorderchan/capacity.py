@@ -9,7 +9,7 @@ I(X;Y|T), and the weight-class-constrained maximum of I(X;Y).
 import functools
 import os
 from dataclasses import dataclass
-from math import comb, log2
+from math import comb, factorial, log2, prod
 
 import numpy as np
 
@@ -190,8 +190,10 @@ def _checked_report(channel, config, method, rates):
     h_state = entropy_bits(state_pmf(config))
     if not -DECOMPOSITION_TOL <= i_xy_given_t <= h_state + DECOMPOSITION_TOL:
         raise RuntimeError(f"I(X;Y|T) = {i_xy_given_t!r} lies outside [0, H(S) = {h_state!r}]")
+    # neither rate is negative: clip after the checks, -0.0 too, which max(-0.0, 0.0) keeps
+    i_ty, i_xy_given_t = (v if v > 0.0 else 0.0 for v in (i_ty, i_xy_given_t))
     outer = outer_bound(channel, config)
-    return CapacityReport(*rates, c_xy=outer, outer_bound=outer, method=method)
+    return CapacityReport(i_ty, i_xy, i_xy_given_t, c_xy=outer, outer_bound=outer, method=method)
 
 
 def secondary_capacity(channel, config):
@@ -242,10 +244,7 @@ def z_fixed_input_capacity(a, p):
 
 def strategy_space_size(F):
     """Number of maps sending each state into its own weight class."""
-    n = 1
-    for s in range(F + 1):
-        n *= comb(F, s)
-    return n
+    return prod(comb(F, s) for s in range(F + 1))
 
 
 class OracleTooLarge(ValueError):
@@ -303,24 +302,30 @@ def equivalent_channel_matrix(channel, config):
 def _map_orbits(F):
     """(orbit_sizes, reps): the S_F orbits of strategy maps, which depend on F alone.
 
-    Permuting packet positions permutes the bit columns of every
-    representative at once, so two maps share an orbit exactly when their
-    per-position columns (bit f of rep_0..rep_F) form the same multiset.
-    reps holds the first member of each orbit in `_all_maps` order. Both
-    arrays are read-only, since every caller in the process shares them.
-    The cache keeps one entry per F, which is small: 374 orbits at F = 6.
+    Column f of a map has bit s set when rep_s has a 1 at position f; permuting
+    positions permutes columns, so an orbit is a sorted row of F columns. Rows
+    grow one state at a time, with no map list, each weight-s symbol ORing bit
+    s into its 1 positions, and stay in lexicographic order: the order of
+    `_all_maps`' partition by sorted columns. An orbit holds F! / prod m! maps,
+    m over the multiplicities of equal columns. reps holds its first map in
+    `_all_maps` order, the least (rep_1, ..., rep_F): its columns ordered by
+    their rep_1 bit, then rep_2 bit, and so on. Callers share both read-only arrays.
     """
-    maps = _all_maps(F)
-    shifts = np.arange(F - 1, -1, -1, dtype=np.int64)
-    cols = np.zeros((len(maps), F), dtype=np.int64)
-    for s in range(F + 1):
-        cols |= ((maps[:, s, None] >> shifts) & 1) << s
-    cols.sort(axis=1)
-    key = np.zeros(len(maps), dtype=np.int64)  # F (F+1) bits: 42 at F = 6
-    for f in range(F):
-        key = (key << (F + 1)) | cols[:, f]
-    _, first, orbit_sizes = np.unique(key, return_index=True, return_counts=True)
-    reps = maps[first]
+    positions = np.arange(F - 1, -1, -1, dtype=np.int64)  # bit shift of position f
+    rows = np.zeros((1, F), dtype=np.int64)
+    # every sort here is stable, lexsort's kind, so a process pages in one sort routine's code
+    for s in range(1, F + 1):
+        ones = (np.array(enumerate_weight_class(F, s))[:, None] >> positions) & 1
+        grown = np.sort((rows[:, None, :] | ones << s).reshape(-1, F), axis=1, kind="stable")
+        grown = grown[np.lexsort(grown.T[::-1])]  # column 0 is the primary key
+        rows = grown[np.r_[True, np.any(grown[1:] != grown[:-1], axis=1)]]
+    run = np.ones_like(rows)  # run[:, f]: column f's place among the equal columns up to it
+    for f in range(1, F):
+        run[:, f] = np.where(rows[:, f] == rows[:, f - 1], run[:, f - 1] + 1, 1)
+    orbit_sizes = factorial(F) // run.prod(axis=1)  # prod(run) = prod m!
+    key = sum(((rows >> s) & 1) << (F - s) for s in range(F + 1))  # rep_1 bit leads
+    cols = np.take_along_axis(rows, np.argsort(key, axis=1, kind="stable"), axis=1)
+    reps = np.stack([((cols >> s) & 1) @ (1 << positions) for s in range(F + 1)], axis=1)
     orbit_sizes.flags.writeable = reps.flags.writeable = False
     return orbit_sizes, reps
 

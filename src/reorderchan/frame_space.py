@@ -6,6 +6,7 @@ letter indices, leftmost digit first. Ascending integers therefore match
 lexicographic order on the printed strings.
 """
 
+import functools
 import operator
 from dataclasses import dataclass
 from math import comb
@@ -66,25 +67,21 @@ def output_string(F, y, channel):
     return "".join(channel.output_labels[d] for d in digits)
 
 
-def enumerate_weight_class(F, s):
-    """All F-bit symbols of weight s, ascending.
+@functools.cache
+def weight_table(F):
+    """Read-only uint8 Hamming weights of all 2^F symbols: weight(2^f + x) = weight(x) + 1."""
+    table = np.zeros(1 << check_frame_len(F), dtype=np.uint8)
+    for f in range(F):
+        np.add(table[: 1 << f], 1, out=table[1 << f : 2 << f])
+    table.flags.writeable = False
+    return table
 
-    Walks the weight class with the carry-and-redistribute bit trick, so the
-    list comes out sorted without filtering all 2^F symbols.
-    """
+
+def enumerate_weight_class(F, s):
+    """All F-bit symbols of weight s, ascending, read off `weight_table`."""
     if not 0 <= s <= F:
         raise ValueError(f"state must be in 0..{F}")
-    if s == 0:
-        return [0]
-    syms = []
-    x = (1 << s) - 1
-    top = 1 << F
-    while x < top:
-        syms.append(x)
-        low = x & -x
-        ripple = x + low
-        x = ripple | (((x ^ ripple) >> 2) // low)
-    return syms
+    return np.flatnonzero(weight_table(F) == s).tolist()
 
 
 def output_digits(F, J, cols):

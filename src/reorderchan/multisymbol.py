@@ -36,13 +36,12 @@ def basic_multisymbol(F):
 
 
 def is_minimal(m):
-    """Whether every representative pair is as close as its weight gap allows."""
-    reps = m.reps
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            if weight(reps[i] ^ reps[j]) != j - i:
-                return False
-    return True
+    """Whether every representative pair is as close as its weight gap allows.
+
+    reps[s] has weight s, so reps[i] and reps[j] are j - i apart exactly when
+    one contains the other: the chain test that `_is_staircase_orbit` runs.
+    """
+    return all(not lo & ~hi for lo, hi in zip(m.reps, m.reps[1:]))
 
 
 def multisymbol_strings(m):

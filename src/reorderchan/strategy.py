@@ -14,7 +14,7 @@ from math import comb, fsum, lcm
 
 import numpy as np
 
-from .frame_space import check_frame_len, enumerate_weight_class, state_pmf
+from .frame_space import check_frame_len, enumerate_weight_class, state_pmf, weight_table
 from .multisymbol import Multisymbol
 
 PMF_TOL = 1e-12
@@ -67,12 +67,10 @@ class StrategySet:
         if np.any(reps < 0) or np.any(reps >= 1 << F):
             raise ValueError("representative out of range")
         self.reps = reps.astype(np.int64, copy=False).view()
-        for s in range(F + 1):  # shift-and-mask bit counts; int32 holds every F-bit symbol
-            col, count = self.reps[:, s].astype(np.int32), np.zeros(len(reps), dtype=np.int32)
-            for f in range(F):
-                count += (col >> f) & 1
-            if np.any(count != s):
-                raise ValueError(f"representative for state {s} must have weight {s}")
+        wrong = weight_table(F)[self.reps] != np.arange(F + 1, dtype=np.uint8)
+        if wrong.any():
+            s = int(np.argmax(wrong.any(axis=0)))  # the first state whose column fails
+            raise ValueError(f"representative for state {s} must have weight {s}")
         self.pmf = np.array(pmf, dtype=np.float64)
         if self.pmf.shape != (len(reps),):
             raise ValueError("need one probability per strategy")

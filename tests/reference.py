@@ -4,12 +4,15 @@ Everything here works on bit strings and plain dicts so that results never
 share code with the package under test. The scalar frame routines at the end
 take package objects but read only their fields: a channel's rows q0 and q1,
 a strategy set's representatives and law, and a config's F and a. The path
-peel at the very end reads only a layered graph's layers and edge weights.
+peel reads only a layered graph's layers and edge weights. The staircase
+sampler at the very end works in plain numpy on channel rows given as lists.
 """
 
 from bisect import bisect_right
 from itertools import accumulate, permutations, product
 from math import comb, log2
+
+import numpy as np
 
 
 def channel_rows(kind, p):
@@ -242,3 +245,31 @@ def peel_paths(graph):
     if any(w != 0 for layer in residual for w in layer.values()):
         raise RuntimeError("edge weight left over after extracting all paths")
     return paths
+
+
+def sampled_staircase_rate(q0, q1, F, a, n_frames, seed):
+    """(mean, standard error) of log2 P(y | stair) - log2 q*(y) over sent frames.
+
+    Each frame draws its state S ~ Binomial(F, a), sends the staircase
+    0^(F-S) 1^S and draws every letter from its bit's channel row. Every
+    strategy of the staircase orbit is a position permutation of the
+    staircase and q*(y) = prod_f u(y_f), u = (1-a) q0 + a q1, is the output
+    law, so the mean estimates D(W_stair || q*) = I(T;Y).
+    P(y | stair) = sum_s w_s prod_{f < F-s} q0(y_f) prod_{f >= F-s} q1(y_f),
+    from prefix products of q0 and suffix products of q1.
+    """
+    rng = np.random.default_rng(seed)
+    q = np.array([q0, q1], dtype=float)
+    J = q.shape[1]
+    u = (1 - a) * q[0] + a * q[1]
+    states = rng.binomial(F, a, size=n_frames)
+    bits = (np.arange(F) >= F - states[:, None]).astype(np.int64)
+    cum = np.cumsum(q, axis=1)
+    y = np.minimum((rng.random((n_frames, F))[:, :, None] >= cum[bits]).sum(axis=2), J - 1)
+    ones = np.ones((n_frames, 1))
+    prefix0 = np.hstack([ones, np.cumprod(q[0][y], axis=1)])  # [:, k]: positions before k
+    suffix1 = np.hstack([np.cumprod(q[1][y][:, ::-1], axis=1)[:, ::-1], ones])  # k onwards
+    w = np.array(state_probs(F, a))
+    p_stair = (prefix0 * suffix1) @ w[::-1]  # column k is state F - k
+    score = np.log2(p_stair) - np.log2(u[y]).sum(axis=1)
+    return float(score.mean()), float(score.std(ddof=1) / np.sqrt(n_frames))

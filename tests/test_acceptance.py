@@ -35,7 +35,7 @@ from reorderchan import (
     z_fixed_input_capacity,
     z_point_capacity,
 )
-from reorderchan.capacity import ORACLE_ENV_VAR, _all_maps
+from reorderchan.capacity import ORACLE_ENV_VAR, _all_maps, oracle_solve, strategy_space_size
 from reorderchan.frame_space import symbol_string
 
 PRESETS = ("erasure", "bsc", "z")
@@ -82,6 +82,21 @@ def test_acceptance_1_at_f6():
             mp.setenv(ORACLE_ENV_VAR, "200000000")
             oracle = oracle_capacity(ch, cfg)
         assert abs(mutual_info_TY(ch, cfg, sset).i_ty - oracle) < 1e-9, kind
+
+
+@criterion(1, "constructed set matches the brute-force oracle at F = 7")
+def test_acceptance_1_at_f7():
+    # 26.5 M maps x 2187 outputs, never built: the orbit solve runs on 8 535 orbits
+    sset = decompose_paths(build_weighted_graph(7))
+    cfg = FrameConfig(7, 0.5)
+    for kind in PRESETS:
+        ch = channel_preset(kind, 0.2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv(ORACLE_ENV_VAR, str(strategy_space_size(7) * 3**7))
+            oracle = oracle_solve(ch, cfg)
+        # BA's capacity is a lower bound on C, and C - capacity <= gap
+        excess = mutual_info_TY(ch, cfg, sset).i_ty - oracle.capacity
+        assert -1e-9 <= excess <= oracle.gap + 1e-9, (kind, excess, oracle.gap)
 
 
 @criterion(2, "noiseless rate equals the errorless closed form")

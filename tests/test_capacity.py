@@ -366,16 +366,34 @@ def test_oracle_solve_keeps_the_all_maps_ceiling(monkeypatch):
     assert capacity.oracle_solve(ch, cfg).gap < 1e-10
 
 
+def _all_maps_partition(F):
+    """(orbit_sizes, reps) from the list of every map: sort each map's position columns.
+
+    Column f has bit s set when rep_s has a 1 at position f. np.unique over the
+    sorted column rows counts each orbit's members and keeps its first map.
+    """
+    maps = capacity._all_maps(F)
+    shifts = np.arange(F - 1, -1, -1, dtype=np.int64)
+    cols = np.zeros((len(maps), F), dtype=np.int64)
+    for s in range(F + 1):
+        cols |= ((maps[:, s, None] >> shifts) & 1) << s
+    cols.sort(axis=1)
+    _, first, orbit_sizes = np.unique(cols, axis=0, return_index=True, return_counts=True)
+    return orbit_sizes, maps[first]
+
+
 def test_map_orbits_are_read_only_and_equal_a_fresh_partition():
     for F in range(1, 7):
         orbit_sizes, reps = capacity._map_orbits(F)
         assert capacity._map_orbits(F)[1] is reps
-        want_sizes, want_reps = capacity._map_orbits.__wrapped__(F)
+        want_sizes, want_reps = _all_maps_partition(F)
         assert np.array_equal(orbit_sizes, want_sizes) and np.array_equal(reps, want_reps)
         assert reps.shape == (len(orbit_sizes), F + 1)
         for arr in (orbit_sizes, reps):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
+    orbit_sizes, reps = capacity._map_orbits(7)
+    assert len(orbit_sizes) == 8535 and orbit_sizes.sum() == strategy_space_size(7)
 
 
 def test_a_cached_partition_does_not_lift_the_ceiling(monkeypatch):
@@ -583,6 +601,23 @@ def test_conditional_rate_reaches_the_state_entropy_when_noiseless():
         report = secondary_capacity(channel_preset("bsc", 0.0), cfg)
         h_state = entropy_bits(capacity.state_pmf(cfg))
         assert report.i_xy_given_t == pytest.approx(h_state, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    ("kind", "F"),
+    [("bsc", 10), ("bsc", 14), ("bsc", 20), ("z", 10), ("z", 14), ("z", 20)]
+    + [("erasure", 10), ("erasure", 12)],
+)
+def test_large_f_staircase_rate_matches_a_sampled_divergence(kind, F):
+    # nothing else checks the printed rate above F = 9: the split check cannot see a
+    # wrong H(Y|staircase), which cancels. Seeds, frames, p and a were fixed before any run.
+    p, a = 0.2, 0.3
+    exact = secondary_capacity(channel_preset(kind, p), FrameConfig(F, a)).i_ty
+    rows = ref.channel_rows(kind, p)
+    q0, q1 = ([rows[bit][letter] for letter in ref.letters(kind)] for bit in "01")
+    for seed in (101, 202, 303):
+        mean, se = ref.sampled_staircase_rate(q0, q1, F, a, 50_000, seed)
+        assert abs(mean - exact) <= 4 * se, (seed, mean, se, exact)
 
 
 def _random_set(F, n, seed):

@@ -167,6 +167,25 @@ def test_oracle_prints_zero_capacity_without_residue(capsys, preset, p, a, F):
     assert "capacity 0" in capsys.readouterr().out.split("\n")
 
 
+def test_capacity_and_sweep_print_no_negative_rate(capsys):
+    # I(T;Y) and I(X;Y|T) are never below zero, but at p or a in {0, 1} their
+    # exact value is often 0, which rounds to -0 or -2.2e-16 unless clipped
+    p_values, a_values = ("0", "0.1", "0.5", "1"), ("0", "0.3", "1")
+    for preset in ("erasure", "bsc", "z"):
+        for F in ("1", "3", "6"):
+            for p in p_values:
+                for a in a_values:
+                    argv = ["capacity", "--preset", preset, "--p", p, "--a", a, "--F", F]
+                    assert run_cli(argv) == 0
+                    vals = keyvals(capsys.readouterr().out)
+                    for key in ("i_ty", "i_xy", "i_xy_given_t", "c_xy", "outer_bound"):
+                        assert not vals[key].startswith("-"), (argv, key, vals[key])
+        grid = ["--p", ",".join(p_values), "--a", ",".join(a_values), "--F", "1..6"]
+        assert run_cli(["sweep", "--preset", preset, *grid]) == 0
+        for line in capsys.readouterr().out.strip().split("\n")[1:]:
+            assert not any(cell.startswith("-") for cell in line.split(",")[4:]), line
+
+
 def test_capacity_and_sweep_never_build_the_set(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("the constructed set was built")

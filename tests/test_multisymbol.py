@@ -50,6 +50,17 @@ def test_is_minimal():
     assert not is_minimal(Multisymbol(3, (0, 1, 6, 7)))
 
 
+def test_is_minimal_follows_the_pairwise_distance_rule():
+    for F in range(1, 5):
+        for m in all_maps(F):
+            pairwise = all(
+                (m.reps[i] ^ m.reps[j]).bit_count() == j - i
+                for i in range(F + 1)
+                for j in range(i + 1, F + 1)
+            )
+            assert is_minimal(m) == pairwise, m
+
+
 def test_minimal_count_is_factorial():
     for F, fact in ((3, 6), (4, 24), (5, 120)):
         count = sum(1 for m in all_maps(F) if is_minimal(m))

@@ -261,17 +261,17 @@ FOUR_LETTERS = BinaryInputChannel((0.4, 0.3, 0.2, 0.1), (0.1, 0.1, 0.1, 0.7), "a
 # change that moves any of them breaks the seed contract and must say so.
 # Each CLI digest covers p in (0, 0.2, 1) x seeds (3, 11), 600 frames, a = 0.4.
 GOLDEN_CLI = {
-    ("erasure", 1): "92a587d9187a7539eb55cae9594121f90c2c8f7afd56b46abfd70bd3b1496fbf",
-    ("erasure", 3): "039673a4b19bbd862e3bf0f7367d8599e8cbcd23b67f047b2fbaa7a78e86d486",
-    ("erasure", 6): "58f40cb0e5cc7c5ae523e397ad41840842e5a6befcec745d39def7e70f7a22e3",
-    ("erasure", 8): "4ec5683eea4b4f3d41e1743607e51e9bf0a697a838c5654caeec8d783cdca8d5",
+    ("erasure", 1): "d05fef3b731117522e92b273fcf7e44ac3129a444517db59d594ae647009d801",
+    ("erasure", 3): "e88ff341393298273de53f322d4cb32835868e7790a9427aaffcdef1f8fa3613",
+    ("erasure", 6): "dc233ebd3c87695128edf155edb00793f36c53d4f4d16d42d83e11f54ebc2906",
+    ("erasure", 8): "1d7ce9afed7de6c27b61463c52a4660bab825acd07d4a543cb959a0c9c5ff6a2",
     ("bsc", 1): "80fab1caa12b7c5ceb1740b13d3d1b0e4a18bd098819713c2e29f6a30cc5d0fb",
     ("bsc", 3): "b04f9f4563425e670d6f87deeb51cdb4c7d5a6ce2239108d087a26caa170539b",
     ("bsc", 6): "81705e9e39ebc4cb49f701b20a6ccc0f9cb5fe909f23ef4726e02ad8a2560a6d",
     ("bsc", 8): "3261880dc25cf4efb14d277e0376583e55b3a8534b5207f955aa17e68a429204",
-    ("z", 1): "e1ec1a3199d1acb2450f2d5eab2cc3f3c1a9425565a6f6de8b3e78d1ecda7a41",
-    ("z", 3): "c59456a4ed394ca40173ce90ae15dd440c003e86090464ba5d5022eb45aa8374",
-    ("z", 6): "c222a045935c3f1dd320766bc87e29686ebb208979a4ca0b613b35b2badbb5bf",
+    ("z", 1): "8ab093f506711306f9d19784e9431bd9917716f400eccaa492e233b15578f00c",
+    ("z", 3): "8d52ccf1000141299aa1c6ab5d233ca4a064116303d5c5025ff7c5ba1830bbcb",
+    ("z", 6): "7b9f518f819bc054f10a01a38f470186a3a77aeac8bff0a20242833f3e3763d1",
     ("z", 8): "7f420fe888c6b14b8ce39ca96f48ad34b3add967e6ee5eede9ca111fe7bce2d7",
 }
 GOLDEN_LIBRARY = {
