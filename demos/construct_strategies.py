@@ -10,10 +10,9 @@ so every weight-s symbol is used equally often and every path is minimal.
 from reorderchan import (
     build_weighted_graph,
     decompose_paths,
-    is_minimal,
     lcm_binomials,
-    multisymbol_strings,
     representative_multiplicity,
+    symbol_string,
     weight,
 )
 
@@ -34,17 +33,18 @@ for s in range(F + 1):
 sset = decompose_paths(build_weighted_graph(F))
 print()
 print("constructed multisymbols, one per line:")
-for m in sset.multisymbols:
-    print(" ", ",".join(multisymbol_strings(m)))
+for row in sset.reps.tolist():
+    print(" ", ",".join(symbol_string(F, x) for x in row))
 
 # %%
-# Two sanity checks: every path flips exactly one new bit per layer, and the
-# per-class usage counts land exactly on the multiplicities.
+# Two sanity checks: every path flips exactly one new bit per layer (each
+# representative contains the one below it), and the per-class usage counts
+# land exactly on the multiplicities.
 
-assert all(is_minimal(m) for m in sset.multisymbols)
+assert not (sset.reps[:, :-1] & ~sset.reps[:, 1:]).any()
 counts = {}
-for m in sset.multisymbols:
-    for s, x in enumerate(m.reps):
+for row in sset.reps.tolist():
+    for s, x in enumerate(row):
         counts[(s, x)] = counts.get((s, x), 0) + 1
 for (s, x), n in sorted(counts.items()):
     assert n == representative_multiplicity(F, weight(x))

@@ -29,20 +29,15 @@ from .frame_space import (
     enumerate_weight_class,
     likelihood_rows,
     state_pmf,
+    symbol_string,
     weight,
 )
-from .multisymbol import (
-    Multisymbol,
-    basic_multisymbol,
-    is_minimal,
-    multisymbol_strings,
-)
+from .multisymbol import Multisymbol
 from .simulate import run_monte_carlo
 from .strategy import (
     StrategySet,
     build_weighted_graph,
     decompose_paths,
-    full_permutation_set,
     induced_input_pmf,
     lcm_binomials,
     representative_multiplicity,
@@ -54,7 +49,6 @@ __all__ = [
     "Multisymbol",
     "OracleTooLarge",
     "StrategySet",
-    "basic_multisymbol",
     "binary_entropy",
     "blahut_arimoto",
     "build_weighted_graph",
@@ -64,12 +58,9 @@ __all__ = [
     "entropy_bits",
     "enumerate_weight_class",
     "errorless_capacity",
-    "full_permutation_set",
     "induced_input_pmf",
-    "is_minimal",
     "lcm_binomials",
     "likelihood_rows",
-    "multisymbol_strings",
     "mutual_info_TY",
     "oracle_capacity",
     "outer_bound",
@@ -80,6 +71,7 @@ __all__ = [
     "single_use_mutual_info",
     "state_pmf",
     "sweep_point",
+    "symbol_string",
     "weight",
     "z_fixed_input_capacity",
     "z_point_capacity",

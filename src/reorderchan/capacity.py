@@ -90,7 +90,7 @@ def _is_staircase_orbit(sset):
 
     Three tests, no tolerances: the pmf is flat, every strategy is a
     maximal chain (each representative contains the one below it, which for
-    weight-graded representatives is `is_minimal`), and every weight-s
+    weight-graded representatives is the paper's minimality), and every weight-s
     symbol occurs exactly L / C(F, s) times. Then each strategy is a position
     permutation of the staircase and the induced input law is i.i.d.
     Bernoulli(a). A weight-s symbol occurs only in column s of the table, so
@@ -309,23 +309,26 @@ def _map_orbits(F):
     `_all_maps`' partition by sorted columns. An orbit holds F! / prod m! maps,
     m over the multiplicities of equal columns. reps holds its first map in
     `_all_maps` order, the least (rep_1, ..., rep_F): its columns ordered by
-    their rep_1 bit, then rep_2 bit, and so on. Callers share both read-only arrays.
+    their rep_1 bit, then rep_2 bit, and so on. Columns stay in the narrowest
+    unsigned type that holds F + 1 bits; callers share both read-only int64 arrays.
     """
     positions = np.arange(F - 1, -1, -1, dtype=np.int64)  # bit shift of position f
-    rows = np.zeros((1, F), dtype=np.int64)
+    column = np.min_scalar_type((2 << F) - 1)
+    rows = np.zeros((1, F), dtype=column)
     # every sort here is stable, lexsort's kind, so a process pages in one sort routine's code
     for s in range(1, F + 1):
-        ones = (np.array(enumerate_weight_class(F, s))[:, None] >> positions) & 1
+        ones = ((np.array(enumerate_weight_class(F, s))[:, None] >> positions) & 1).astype(column)
         grown = np.sort((rows[:, None, :] | ones << s).reshape(-1, F), axis=1, kind="stable")
         grown = grown[np.lexsort(grown.T[::-1])]  # column 0 is the primary key
         rows = grown[np.r_[True, np.any(grown[1:] != grown[:-1], axis=1)]]
     run = np.ones_like(rows)  # run[:, f]: column f's place among the equal columns up to it
     for f in range(1, F):
         run[:, f] = np.where(rows[:, f] == rows[:, f - 1], run[:, f - 1] + 1, 1)
-    orbit_sizes = factorial(F) // run.prod(axis=1)  # prod(run) = prod m!
+    orbit_sizes = factorial(F) // run.prod(axis=1, dtype=np.int64)  # prod(run) = prod m!
     key = sum(((rows >> s) & 1) << (F - s) for s in range(F + 1))  # rep_1 bit leads
     cols = np.take_along_axis(rows, np.argsort(key, axis=1, kind="stable"), axis=1)
-    reps = np.stack([((cols >> s) & 1) @ (1 << positions) for s in range(F + 1)], axis=1)
+    place = (1 << positions).astype(column)
+    reps = np.stack([((cols >> s) & 1) @ place for s in range(F + 1)], axis=1, dtype=np.int64)
     orbit_sizes.flags.writeable = reps.flags.writeable = False
     return orbit_sizes, reps
 

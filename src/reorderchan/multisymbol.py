@@ -1,14 +1,14 @@
 """Multisymbols: one representative symbol per frame state.
 
 A multisymbol fixes, for every state s, which weight-s symbol the reordering
-encoder sends when the frame happens to contain s packets addressed 1. It is
-minimal when every pair of representatives is as close in Hamming distance as
-their weight gap allows.
+encoder sends when the frame happens to contain s packets addressed 1.
+`StrategySet` holds strategies as rows of one table and builds these records
+only when `.multisymbols` is read.
 """
 
 from dataclasses import dataclass
 
-from .frame_space import symbol_string, weight
+from .frame_space import weight
 
 
 @dataclass(frozen=True)
@@ -28,22 +28,3 @@ class Multisymbol:
                 raise ValueError("representative out of range")
             if weight(x) != s:
                 raise ValueError(f"representative for state {s} must have weight {s}")
-
-
-def basic_multisymbol(F):
-    """The multisymbol whose state-s representative is F-s zeros then s ones."""
-    return Multisymbol(F, tuple((1 << s) - 1 for s in range(F + 1)))
-
-
-def is_minimal(m):
-    """Whether every representative pair is as close as its weight gap allows.
-
-    reps[s] has weight s, so reps[i] and reps[j] are j - i apart exactly when
-    one contains the other: the chain test that `_is_staircase_orbit` runs.
-    """
-    return all(not lo & ~hi for lo, hi in zip(m.reps, m.reps[1:]))
-
-
-def multisymbol_strings(m):
-    """Representatives as printed bit strings, state 0 first."""
-    return [symbol_string(m.F, x) for x in m.reps]

@@ -1,4 +1,4 @@
-"""Strategy sets: the lcm-sized path construction and the permutation orbit.
+"""Strategy sets and the lcm-sized path construction.
 
 The constructed set lives on a layered graph whose nodes are the weight
 classes and whose edges join each symbol to the symbols one flipped bit
@@ -9,7 +9,6 @@ times.
 """
 
 from dataclasses import dataclass
-from itertools import permutations
 from math import comb, fsum, lcm
 
 import numpy as np
@@ -18,7 +17,6 @@ from .frame_space import check_frame_len, enumerate_weight_class, state_pmf, wei
 from .multisymbol import Multisymbol
 
 PMF_TOL = 1e-12
-MAX_PERMUTATION_F = 8
 # Bytes the graph build and the path peel hold per strategy of the constructed
 # set. The tracemalloc peak of build_weighted_graph plus decompose_paths is 293
 # bytes per strategy at F = 12, 925 at F = 14, 1 077 at F = 15 and 300 at F = 16
@@ -64,7 +62,7 @@ class StrategySet:
             raise ValueError("need a nonempty integer table, one row per strategy")
         F = reps.shape[1] - 1
         check_frame_len(F)
-        if np.any(reps < 0) or np.any(reps >= 1 << F):
+        if int(reps.min()) < 0 or int(reps.max()) >= 1 << F:
             raise ValueError("representative out of range")
         self.reps = reps.astype(np.int64, copy=False).view()
         wrong = weight_table(F)[self.reps] != np.arange(F + 1, dtype=np.uint8)
@@ -238,23 +236,6 @@ def decompose_paths(graph):
             raise RuntimeError(f"edge weights at layer {s} do not match the paths reaching it")
         reps[order, s + 1] = np.repeat(dst, w)
     return StrategySet(reps, np.full(L, 1.0 / L))
-
-
-def full_permutation_set(F):
-    """All F! position permutations of the staircase, equally weighted.
-
-    Permutation pi moves the bit at position f to position pi[f], so row s
-    of pi's strategy sets the bits 2^(F-1-pi[f]) for f >= F - s: a reversed
-    cumulative sum. Rows follow itertools.permutations order.
-    """
-    if not 1 <= F <= MAX_PERMUTATION_F:
-        raise ValueError(f"F must be in 1..{MAX_PERMUTATION_F}; the set grows as F!")
-    bits = 1 << (F - 1 - np.array(list(permutations(range(F))), dtype=np.int64))
-    reps = np.zeros((len(bits), F + 1), dtype=np.int64)
-    np.cumsum(bits[:, ::-1], axis=1, out=reps[:, 1:])
-    if len(np.unique(reps, axis=0)) != len(reps):
-        raise RuntimeError("distinct permutations produced colliding strategies")
-    return StrategySet(reps, np.full(len(reps), 1.0 / len(reps)))
 
 
 def strategy_table(sset):

@@ -169,6 +169,20 @@ def permutation_orbit(F):
     return orbit
 
 
+def is_minimal(reps):
+    """Whether every pair of representatives is as close as its weight gap allows.
+
+    reps[s] is the integer symbol for state s, of weight s, so reps[i] and
+    reps[j] differ in at least j - i positions; a minimal multisymbol meets
+    that bound with equality for every pair.
+    """
+    return all(
+        bin(reps[i] ^ reps[j]).count("1") == j - i
+        for i in range(len(reps))
+        for j in range(i + 1, len(reps))
+    )
+
+
 def frame_likelihood(channel, F, x, y):
     """P(y | x) for one frame: product of per-packet transition probabilities."""
     J = len(channel.q0)

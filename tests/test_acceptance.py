@@ -22,21 +22,19 @@ from reorderchan import (
     entropy_bits,
     enumerate_weight_class,
     errorless_capacity,
-    is_minimal,
     lcm_binomials,
     likelihood_rows,
-    multisymbol_strings,
     mutual_info_TY,
     oracle_capacity,
     representative_multiplicity,
     run_monte_carlo,
     state_pmf,
     sweep_point,
+    symbol_string,
     z_fixed_input_capacity,
     z_point_capacity,
 )
 from reorderchan.capacity import ORACLE_ENV_VAR, _all_maps, oracle_solve, strategy_space_size
-from reorderchan.frame_space import symbol_string
 
 PRESETS = ("erasure", "bsc", "z")
 
@@ -121,7 +119,7 @@ def test_acceptance_3():
         assert len(sset) == L
         assert all(w == 1.0 / L for w in sset.pmf)
         for m in sset.multisymbols:
-            assert is_minimal(m)
+            assert ref.is_minimal(m.reps)
         for s in range(F + 1):
             counts = {}
             for m in sset.multisymbols:
@@ -165,13 +163,11 @@ def test_acceptance_5():
             for a in (0.3, 0.5):
                 cfg = FrameConfig(3, a)
                 ents = [output_entropy(ch, cfg, m) for m in all3]
-                within = [
-                    ref.strategy_mutual_info(kind, p, a, multisymbol_strings(m)) for m in all3
-                ]
+                within = [ref.strategy_mutual_info(kind, p, a, bit_strings(m)) for m in all3]
                 best = min(ents)
-                minimal_ents = [e for e, m in zip(ents, all3) if is_minimal(m)]
-                other_ents = [e for e, m in zip(ents, all3) if not is_minimal(m)]
-                minimal_within = [v for v, m in zip(within, all3) if is_minimal(m)]
+                minimal_ents = [e for e, m in zip(ents, all3) if ref.is_minimal(m.reps)]
+                other_ents = [e for e, m in zip(ents, all3) if not ref.is_minimal(m.reps)]
+                minimal_within = [v for v, m in zip(within, all3) if ref.is_minimal(m.reps)]
                 assert len(minimal_ents) == 6
                 assert all(abs(e - best) < 1e-10 for e in minimal_ents)
                 assert max(minimal_ents) - min(minimal_ents) < 1e-10
@@ -213,7 +209,7 @@ def test_acceptance_7():
         cfg = FrameConfig(F, float(rng.random()))
         m = random_multisymbol(F, rng)
         exact = output_entropy(channel_preset(kind, p), cfg, m)
-        split = ref.positionwise_entropy_sum(kind, p, cfg.a, multisymbol_strings(m))
+        split = ref.positionwise_entropy_sum(kind, p, cfg.a, bit_strings(m))
         assert split >= exact - 1e-10
     for _ in range(100):
         F = int(rng.integers(1, 6))
@@ -222,8 +218,12 @@ def test_acceptance_7():
         cfg = FrameConfig(F, float(rng.integers(0, 2)))
         m = random_multisymbol(F, rng)
         exact = output_entropy(channel_preset(kind, p), cfg, m)
-        split = ref.positionwise_entropy_sum(kind, p, cfg.a, multisymbol_strings(m))
+        split = ref.positionwise_entropy_sum(kind, p, cfg.a, bit_strings(m))
         assert abs(split - exact) < 1e-10
+
+
+def bit_strings(m):
+    return [symbol_string(m.F, x) for x in m.reps]
 
 
 def output_entropy(ch, cfg, m):

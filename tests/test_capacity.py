@@ -11,7 +11,6 @@ from reorderchan import (
     Multisymbol,
     OracleTooLarge,
     StrategySet,
-    basic_multisymbol,
     binary_entropy,
     blahut_arimoto,
     build_weighted_graph,
@@ -21,17 +20,15 @@ from reorderchan import (
     entropy_bits,
     enumerate_weight_class,
     errorless_capacity,
-    full_permutation_set,
     induced_input_pmf,
-    is_minimal,
     likelihood_rows,
-    multisymbol_strings,
     mutual_info_TY,
     oracle_capacity,
     outer_bound,
     secondary_capacity,
     single_use_mutual_info,
     sweep_point,
+    symbol_string,
     z_fixed_input_capacity,
     z_point_capacity,
 )
@@ -42,8 +39,9 @@ from reorderchan.capacity import (
     oracle_entry_limit,
     strategy_space_size,
 )
-from reorderchan.frame_space import symbol_string
+from reorderchan.frame_space import weight_table
 from reorderchan.strategy import strategy_table
+from test_strategy import STAIR3, permutation_set
 
 FIG_PAIR = decompose_paths(build_weighted_graph(2))
 
@@ -116,8 +114,8 @@ def test_report_parts_are_consistent():
     sset = decompose_paths(build_weighted_graph(3))
     report = mutual_info_TY(ch, cfg, sset)
     within = sum(
-        w * ref.strategy_mutual_info("erasure", 0.2, 0.5, multisymbol_strings(m))
-        for m, w in zip(sset.multisymbols, sset.pmf)
+        w * ref.strategy_mutual_info("erasure", 0.2, 0.5, strings)
+        for strings, w in zip(_bit_strings(sset), sset.pmf)
     )
     assert report.i_xy_given_t == pytest.approx(within, abs=1e-12)
     assert report.i_ty == pytest.approx(report.i_xy - report.i_xy_given_t, abs=1e-12)
@@ -146,14 +144,14 @@ def test_rate_splits_as_best_minus_within():
         ch = channel_preset(kind, 0.2)
         cfg = FrameConfig(4, 0.4)
         report = secondary_capacity(ch, cfg)
-        within = ref.strategy_mutual_info(kind, 0.2, 0.4, multisymbol_strings(basic_multisymbol(4)))
+        within = ref.strategy_mutual_info(kind, 0.2, 0.4, ("0000", "0001", "0011", "0111", "1111"))
         assert report.i_ty == pytest.approx(report.c_xy - within, abs=1e-9)
 
 
 def test_single_strategy_set_carries_nothing():
     ch = channel_preset("erasure", 0.2)
     cfg = FrameConfig(3, 0.5)
-    sset = StrategySet((basic_multisymbol(3),), (1.0,))
+    sset = StrategySet((STAIR3,), (1.0,))
     report = mutual_info_TY(ch, cfg, sset)
     assert report.i_ty == pytest.approx(0.0, abs=1e-12)
     within = ref.strategy_mutual_info("erasure", 0.2, 0.5, ("000", "001", "011", "111"))
@@ -165,7 +163,7 @@ def test_lcm_and_permutation_sets_agree():
         ch = channel_preset("erasure", 0.2)
         cfg = FrameConfig(F, 0.4)
         small = mutual_info_TY(ch, cfg, decompose_paths(build_weighted_graph(F)))
-        full = mutual_info_TY(ch, cfg, full_permutation_set(F))
+        full = mutual_info_TY(ch, cfg, permutation_set(F))
         assert small.i_ty == pytest.approx(full.i_ty, abs=1e-9)
 
 
@@ -396,6 +394,21 @@ def test_map_orbits_are_read_only_and_equal_a_fresh_partition():
     assert len(orbit_sizes) == 8535 and orbit_sizes.sum() == strategy_space_size(7)
 
 
+def test_map_orbits_at_f8_grow_nine_bit_columns_in_bounded_memory():
+    # F = 8 is the first F whose F + 1 bit columns pass 8 bits; the uncached
+    # call peaks near 75 MB, where int64 columns peaked at 200 MB
+    tracemalloc.start()
+    try:
+        orbit_sizes, reps = capacity._map_orbits.__wrapped__(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 110e6
+    assert orbit_sizes.dtype == reps.dtype == np.int64
+    assert len(orbit_sizes) == 423076 and orbit_sizes.sum() == strategy_space_size(8)
+    assert np.all(weight_table(8)[reps] == np.arange(9))
+
+
 def test_a_cached_partition_does_not_lift_the_ceiling(monkeypatch):
     ch, cfg = channel_preset("bsc", 0.2), FrameConfig(6, 0.5)
     monkeypatch.setenv(ORACLE_ENV_VAR, str(strategy_space_size(6) * 2**6))
@@ -436,7 +449,7 @@ def test_sweep_point_keeps_other_oracle_errors(monkeypatch):
 
 
 def _bit_strings(sset):
-    return [tuple(symbol_string(m.F, x) for x in m.reps) for m in sset.multisymbols]
+    return [tuple(symbol_string(sset.F, x) for x in row) for row in sset.reps.tolist()]
 
 
 def _assert_orbit_matches_enumeration(ch, cfg, sset):
@@ -466,7 +479,7 @@ def test_orbit_path_matches_enumeration_erasure_f9():
 def test_orbit_path_matches_enumeration_on_permutation_set(kind):
     # the enumeration needs about 18 s for the F! orbit at erasure F = 8
     for F in range(1, 8 if kind == "erasure" else 9):
-        sset = full_permutation_set(F)
+        sset = permutation_set(F)
         for p, a in ((0.2, 0.5), (0.3, 0.7))[F // 8 :]:
             _assert_orbit_matches_enumeration(channel_preset(kind, p), FrameConfig(F, a), sset)
 
@@ -508,12 +521,12 @@ def test_sets_failing_a_precondition_take_the_general_path():
     swapped = _swap_state(lcm4, 0, t2, 2)
     cfg4 = FrameConfig(4, 0.3)
     assert np.array_equal(induced_input_pmf(swapped, cfg4), induced_input_pmf(lcm4, cfg4))
-    assert not all(is_minimal(m) for m in swapped.multisymbols)
-    chains = [basic_multisymbol(3), lcm3.multisymbols[1]]
+    assert not all(ref.is_minimal(m.reps) for m in swapped.multisymbols)
+    chains = [STAIR3, lcm3.multisymbols[1]]
     cases = {
         "unequal pmf": StrategySet(lcm3.multisymbols, (0.5, 0.3, 0.2)),
         "non-chain strategies": swapped,
-        "single staircase": StrategySet((basic_multisymbol(3),), (1.0,)),
+        "single staircase": StrategySet((STAIR3,), (1.0,)),
         "two chains": StrategySet(tuple(chains), (0.5, 0.5)),
     }
     for name, sset in cases.items():

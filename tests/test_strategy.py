@@ -9,19 +9,17 @@ from reorderchan import (
     FrameConfig,
     Multisymbol,
     StrategySet,
-    basic_multisymbol,
     build_weighted_graph,
     decompose_paths,
     enumerate_weight_class,
-    full_permutation_set,
     induced_input_pmf,
-    is_minimal,
     lcm_binomials,
     representative_multiplicity,
     state_pmf,
     weight,
 )
-from reference import peel_paths, permutation_orbit
+from reference import is_minimal, peel_paths, permutation_orbit
+from reorderchan.capacity import _is_staircase_orbit
 from reorderchan.strategy import (
     MAX_SET_BYTES,
     STRATEGY_BYTES,
@@ -31,6 +29,14 @@ from reorderchan.strategy import (
 )
 
 LCM_TABLE = {1: 1, 2: 2, 3: 3, 4: 12, 5: 10, 6: 60, 7: 105, 8: 280, 9: 252, 10: 2520}
+STAIR2 = Multisymbol(2, (0, 1, 3))
+STAIR3 = Multisymbol(3, (0, 1, 3, 7))
+
+
+def permutation_set(F):
+    """All F! position permutations of the staircase, equally weighted."""
+    orbit = permutation_orbit(F)
+    return StrategySet(np.array(orbit), np.full(len(orbit), 1.0 / len(orbit)))
 
 
 def test_lcm_binomials():
@@ -129,7 +135,7 @@ def test_decompose_covers_classes_evenly():
         L = lcm_binomials(F)
         assert len(sset) == L
         assert all(w == 1.0 / L for w in sset.pmf)
-        assert all(is_minimal(m) for m in sset.multisymbols)
+        assert all(is_minimal(m.reps) for m in sset.multisymbols)
         for s in range(F + 1):
             counts = {}
             for m in sset.multisymbols:
@@ -176,11 +182,11 @@ def test_decompose_is_deterministic():
 def test_first_path_is_the_staircase():
     for F in range(1, 8):
         sset = decompose_paths(build_weighted_graph(F))
-        assert sset.multisymbols[0].reps == basic_multisymbol(F).reps
+        assert sset.multisymbols[0].reps == tuple((1 << s) - 1 for s in range(F + 1))
 
 
 def test_strategy_set_validation():
-    m = basic_multisymbol(2)
+    m = STAIR2
     with pytest.raises(ValueError):
         StrategySet((), ())
     with pytest.raises(ValueError):
@@ -190,7 +196,7 @@ def test_strategy_set_validation():
     with pytest.raises(ValueError):
         StrategySet((m, m), (0.6, 0.6))
     with pytest.raises(ValueError, match="one frame length"):
-        StrategySet((m, basic_multisymbol(3)), (0.5, 0.5))
+        StrategySet((m, STAIR3), (0.5, 0.5))
     two = StrategySet((m, m), (0.5, 0.5))
     assert two.F == 2
     assert len(two) == 2
@@ -207,6 +213,9 @@ def test_strategy_set_validation():
         n = len(np.array(table, ndmin=2))
         with pytest.raises(ValueError, match=message):
             StrategySet(np.array(table), np.full(n, 1.0 / n))
+    with pytest.raises(ValueError, match="out of range"):
+        StrategySet(np.array([[0, 1, 1 << 63]], dtype=np.uint64), (1.0,))
+    assert StrategySet(np.array([[0, 2, 3]], dtype=np.uint8), (1.0,)).reps.tolist() == [[0, 2, 3]]
     table = StrategySet(np.array([[0, 1, 3], [0, 2, 3]]), (0.25, 0.75))
     assert table.reps.dtype == np.int64 and table.pmf.dtype == np.float64
     assert [m.reps for m in table.multisymbols] == [(0, 1, 3), (0, 2, 3)]
@@ -223,40 +232,34 @@ def test_strategy_set_validation():
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_strategy_set_rejects_nonfinite_pmf(bad):
     # every comparison with NaN is False, so each check must be written to fail on it
-    m = basic_multisymbol(2)
+    m = STAIR2
     for pmf in ((bad,), (bad, 0.5), (0.5, bad)):
         with pytest.raises(ValueError, match="pmf"):
             StrategySet((m,) * len(pmf), pmf)
 
 
-def test_full_permutation_set():
-    assert len(full_permutation_set(1)) == 1
-    assert len(full_permutation_set(3)) == 6
-    sset = full_permutation_set(4)
-    assert len(sset) == 24
-    assert len({m.reps for m in sset.multisymbols}) == 24
-    assert all(is_minimal(m) for m in sset.multisymbols)
-    with pytest.raises(ValueError):
-        full_permutation_set(9)
-
-
-def test_full_permutation_set_matches_the_reference_orbit():
-    for F in range(1, 8):
-        rows = [tuple(row) for row in full_permutation_set(F).reps.tolist()]
-        assert rows == permutation_orbit(F)
-
-
 def test_permutation_set_starts_at_the_identity_and_ends_at_the_reversal():
     # itertools.permutations order; the full reversal sends 001 to 100 and 011 to 110
-    three = full_permutation_set(3).reps.tolist()
+    three = permutation_set(3).reps.tolist()
     assert three[0] == [0, 1, 3, 7]
     assert three[-1] == [0, 4, 6, 7]
-    assert full_permutation_set(4).reps.tolist()[-1] == [0, 8, 12, 14, 15]
+    assert permutation_set(4).reps.tolist()[-1] == [0, 8, 12, 14, 15]
+
+
+def test_full_permutation_set():
+    assert len(permutation_set(1)) == 1
+    assert len(permutation_set(3)) == 6
+    # F! distinct minimal strategies, which the capacity code takes as the staircase orbit
+    sset = permutation_set(4)
+    assert len(sset) == 24
+    assert len({m.reps for m in sset.multisymbols}) == 24
+    assert all(is_minimal(m.reps) for m in sset.multisymbols)
+    assert _is_staircase_orbit(sset)
 
 
 def test_permutation_set_orbit_counts():
     # each weight-s symbol is hit by s!(F-s)! permutations
-    sset = full_permutation_set(4)
+    sset = permutation_set(4)
     for s in range(5):
         counts = {}
         for m in sset.multisymbols:
@@ -267,7 +270,7 @@ def test_permutation_set_orbit_counts():
 def test_induced_input_pmf_class_uniform():
     cfg = FrameConfig(4, 0.3)
     pmf_s = state_pmf(cfg)
-    for sset in (decompose_paths(build_weighted_graph(4)), full_permutation_set(4)):
+    for sset in (decompose_paths(build_weighted_graph(4)), permutation_set(4)):
         p_x = induced_input_pmf(sset, cfg)
         assert abs(p_x.sum() - 1.0) < 1e-12
         for x in range(16):
@@ -277,7 +280,7 @@ def test_induced_input_pmf_class_uniform():
 
 def test_induced_input_pmf_single_strategy():
     cfg = FrameConfig(3, 0.25)
-    sset = StrategySet((basic_multisymbol(3),), (1.0,))
+    sset = StrategySet((STAIR3,), (1.0,))
     p_x = induced_input_pmf(sset, cfg)
     pmf_s = state_pmf(cfg)
     assert np.allclose([p_x[0], p_x[1], p_x[3], p_x[7]], pmf_s)
@@ -306,12 +309,12 @@ def test_induced_input_pmf_matches_plain_accumulation():
 
 def test_induced_input_pmf_checks_f():
     with pytest.raises(ValueError):
-        induced_input_pmf(full_permutation_set(3), FrameConfig(4, 0.5))
+        induced_input_pmf(permutation_set(3), FrameConfig(4, 0.5))
 
 
 def test_strategy_table_indexes_used_symbols():
-    twice = StrategySet((basic_multisymbol(3), basic_multisymbol(3)), (0.5, 0.5))
-    for sset in (decompose_paths(build_weighted_graph(4)), full_permutation_set(3), twice):
+    twice = StrategySet((STAIR3, STAIR3), (0.5, 0.5))
+    for sset in (decompose_paths(build_weighted_graph(4)), permutation_set(3), twice):
         used, rep_idx = strategy_table(sset)
         assert np.array_equal(sset.reps, [m.reps for m in sset.multisymbols])
         assert np.array_equal(used[rep_idx], sset.reps)

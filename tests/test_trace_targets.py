@@ -1,30 +1,35 @@
-"""The benchmark's traced run rebinds package names from outside; keep them in place."""
+"""The benchmark reads package names from outside; keep them in place and working.
+
+Its traced run rebinds package functions, and its general workload builds
+strategy sets from Multisymbol objects.
+"""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-from reorderchan import cli
+from reorderchan import StrategySet, cli, mutual_info_TY
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_trace_target_exists():
-    for module_name, attr in _load_tracing().TARGETS:
+    for module_name, attr in _load("tracing").TARGETS:
         module = importlib.import_module("reorderchan." + module_name)
         assert callable(getattr(module, attr, None)), f"reorderchan.{module_name}.{attr}"
 
 
 def _traced_metrics(argv):
     """Per-layer metrics of one in-process CLI run under the benchmark's tracer."""
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     tracer = tracing.Tracer()
     tracer.op = 0
     tracer.install()
@@ -51,3 +56,17 @@ def test_traced_oracle_counts_the_printed_iterations(capsys):
     metrics = _traced_metrics(argv)
     printed = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
     assert metrics["capacity.blahut_arimoto.iterations"][0] == int(printed["iterations"]) > 1
+
+
+def test_general_op_builds_the_set_its_table_gives(monkeypatch):
+    # workloads.py imports perfbench's reference module, not this directory's
+    monkeypatch.setitem(sys.modules, "reference", _load("reference"))
+    workloads = _load("workloads")
+    op = workloads.warmup_op(workloads.WORKLOADS["exact_general"])
+    channel, config, sset = op.call
+    assert sset.reps.tolist() == op.reps.tolist()
+    workloads.run_op(op)
+    workloads.check_op(op)
+    assert not op.problems, op.problems
+    table = StrategySet(op.reps, op.pmf / op.pmf.sum())
+    assert op.value == mutual_info_TY(channel, config, table)
