@@ -15,8 +15,8 @@ P = 0.2
 A = 0.5
 
 # %%
-# The oracle column only fills while the full strategy enumeration is
-# affordable; above that the row keeps the constructed value and bounds.
+# The oracle column fills while the oracle's orbit table fits in 2 GiB,
+# which is F <= 7; from F = 8 the row keeps the constructed value and bounds.
 
 rows = [sweep_point("erasure", P, A, F) for F in range(1, 9)]
 

@@ -7,7 +7,6 @@ I(X;Y|T), and the weight-class-constrained maximum of I(X;Y).
 """
 
 import functools
-import os
 from dataclasses import dataclass
 from math import comb, factorial, log2, prod
 
@@ -27,8 +26,10 @@ from .strategy import induced_input_pmf, strategy_table
 DECOMPOSITION_TOL = 1e-9
 BA_TOL = 1e-10
 BA_MAX_ITER = 100_000
-ORACLE_MAX_ENTRIES = 2_000_000
-ORACLE_ENV_VAR = "REORDERCHAN_ORACLE_MAX_ENTRIES"
+MAX_TABLE_BYTES = 1 << 31  # the 2 GiB that also bounds strategy sets and Monte Carlo frames
+# tracemalloc peak of `oracle_solve` per cell of its (2^F + orbits) x J^F table,
+# measured at F = 6 and 7 on every preset: likelihood rows, mixed rows, two entropy temporaries
+TABLE_CELL_BYTES = 24
 # output columns per block of `_orbit_rates`, the only reader: the block
 # boundaries fix the float sum order behind the printed `capacity` bytes
 BLOCK_COLS = 8192
@@ -190,8 +191,12 @@ def _checked_report(channel, config, method, rates):
     h_state = entropy_bits(state_pmf(config))
     if not -DECOMPOSITION_TOL <= i_xy_given_t <= h_state + DECOMPOSITION_TOL:
         raise RuntimeError(f"I(X;Y|T) = {i_xy_given_t!r} lies outside [0, H(S) = {h_state!r}]")
-    # neither rate is negative: clip after the checks, -0.0 too, which max(-0.0, 0.0) keeps
-    i_ty, i_xy_given_t = (v if v > 0.0 else 0.0 for v in (i_ty, i_xy_given_t))
+    # T -> X -> Y, so neither part of the split passes I(X;Y)
+    if not (i_ty <= i_xy + DECOMPOSITION_TOL and i_xy_given_t <= i_xy + DECOMPOSITION_TOL):
+        raise RuntimeError(f"I(T;Y) = {i_ty!r} or I(X;Y|T) = {i_xy_given_t!r} exceeds I(X;Y)")
+    # clip both into [0, max(I(X;Y), 0)] after the checks, -0.0 too, which max(-0.0, 0.0) keeps
+    top = i_xy if i_xy > 0.0 else 0.0
+    i_ty, i_xy_given_t = (min(v, top) if v > 0.0 else 0.0 for v in (i_ty, i_xy_given_t))
     outer = outer_bound(channel, config)
     return CapacityReport(i_ty, i_xy, i_xy_given_t, c_xy=outer, outer_bound=outer, method=method)
 
@@ -248,33 +253,27 @@ def strategy_space_size(F):
 
 
 class OracleTooLarge(ValueError):
-    """The all-maps strategy table would exceed the enumeration ceiling."""
+    """The oracle's table, or the all-maps table, would pass MAX_TABLE_BYTES."""
 
 
-def oracle_entry_limit():
-    """Enumeration ceiling for the brute-force oracle, env-var overridable."""
-    raw = os.environ.get(ORACLE_ENV_VAR)
-    if not raw:
-        return ORACLE_MAX_ENTRIES
-    try:
-        limit = int(raw)
-    except ValueError:
-        limit = None
-    if limit is None or limit < 0:
-        raise ValueError(f"{ORACLE_ENV_VAR} must be a nonnegative integer, got {raw!r}")
-    return limit
-
-
-def _check_oracle_size(F, J):
-    """Refuse an oracle whose all-maps table, n_maps x J^F, would pass the ceiling."""
-    max_entries = oracle_entry_limit()
-    n_t = strategy_space_size(F)
-    n_y = J**F
-    if n_t * n_y > max_entries:
+def _check_table_bytes(F, J, strategies, what):
+    """Refuse, before anything is built, a table of 2^F likelihood rows plus `strategies` rows."""
+    rows, cols = (1 << F) + strategies, J**F
+    if rows * cols * TABLE_CELL_BYTES > MAX_TABLE_BYTES:
         raise OracleTooLarge(
-            f"strategy table needs {n_t} x {n_y} entries, over the limit {max_entries}; "
-            f"raise {ORACLE_ENV_VAR} only if memory allows"
+            f"{what} needs {rows} x {cols} cells at {TABLE_CELL_BYTES} bytes, "
+            f"over {MAX_TABLE_BYTES} bytes"
         )
+
+
+def _orbit_bound(F):
+    """At least the number of S_F orbits of strategy maps, without building them: 2 S / F!.
+
+    An orbit holds at most F! maps, so S / F! is a lower bound on the count;
+    `_map_orbits` gives 1.0 to 1.66 times it at F <= 8. From F = 9 on, S / F!
+    alone is over MAX_TABLE_BYTES for every J >= 2, so F = 9 and up is refused either way.
+    """
+    return -(-2 * strategy_space_size(F) // factorial(F))
 
 
 def _all_maps(F):
@@ -290,10 +289,10 @@ def equivalent_channel_matrix(channel, config):
     """Rows P(y | t) for every strategy map, states mixed by the frame law.
 
     The oracle runs on `orbit_channel`; this full table is its enumerated
-    cross-check.
+    cross-check, refused in bytes like the oracle's own table.
     """
     F = config.F
-    _check_oracle_size(F, channel.J)
+    _check_table_bytes(F, channel.J, strategy_space_size(F), "all-maps table")
     rows = likelihood_rows(channel, F, list(range(1 << F)))
     return mix_states(rows, _all_maps(F), state_pmf(config))
 
@@ -356,7 +355,8 @@ def blahut_arimoto(W, tol=BA_TOL, max_iter=BA_MAX_ITER, row_const=None, r0=None)
     and r0, which replaces the uniform starting law.
     """
     W = np.asarray(W, dtype=float)
-    if W.ndim != 2 or np.any(W < 0) or not np.allclose(W.sum(axis=1), 1.0, atol=1e-9):
+    # a NaN entry makes its row sum NaN, which fails the row-sum test
+    if W.ndim != 2 or np.any(W < 0) or not np.all(np.abs(W.sum(axis=1) - 1.0) <= 1e-9):
         raise ValueError("need a matrix of probability rows")
     n = W.shape[0]
     if row_const is None:
@@ -379,30 +379,28 @@ def blahut_arimoto(W, tol=BA_TOL, max_iter=BA_MAX_ITER, row_const=None, r0=None)
 
 
 def oracle_solve(channel, config):
-    """Blahut-Arimoto over every admissible strategy map, run on S_F orbits.
+    """Capacity over every admissible strategy map: the best map orbit's information density.
 
     The letter counts of y depend only on the weight of the sent symbol, so
     every map gives the output composition the law it has under the product
-    law q*(y) = prod_f u(y_f). Every S_F-invariant law over maps, hence every
-    iterate from the uniform start, therefore sends y to q*, and map t has
-    the fixed information density D_t = F H(u) - H(Y|T=t). So the iteration
-    runs on one output class with row_const D over the orbits; it has the
-    same bounds, gap and iteration count as the run on
-    `equivalent_channel_matrix`, up to floating-point rounding. The result's
-    input_pmf is the law over map orbits. The ceiling still counts the
-    all-maps table. D_t = D(W_t || q*) >= 0, and H(Y|T=t) is at least the
-    mean noise entropy, so D_t <= outer_bound: clipping to both moves only
-    rounding.
+    law q*(y) = prod_f u(y_f). Every S_F-invariant law over maps therefore
+    sends y to q*, and map t has the fixed information density
+    D_t = F H(u) - H(Y|T=t) = D(W_t || q*), the same on its whole orbit. So
+    the capacity is max_t D_t. D_t >= 0, and H(Y|T=t) is at least the mean
+    noise entropy, so D_t <= outer_bound: clipping to both moves only rounding.
+    One Blahut-Arimoto step on the lumped channel, started on the best orbit,
+    certifies it: its lower bound sum_t r_t D_t and its upper bound max_t D_t
+    are then the same number, so it returns gap 0.0 after 1 iteration. The
+    result's input_pmf is that one-hot law over map orbits. The
+    (2^F + orbits) x J^F table is refused in bytes before the orbits are read.
     """
-    _check_oracle_size(config.F, channel.J)
-    orbit_sizes, h = orbit_channel(channel, config)
+    _check_table_bytes(config.F, channel.J, _orbit_bound(config.F), "orbit table")
+    _, h = orbit_channel(channel, config)
     outer = outer_bound(channel, config)
-    f_h_u = outer + _mean_noise_entropy(channel, config)
-    return blahut_arimoto(
-        np.ones((len(h), 1)),
-        row_const=np.clip(f_h_u - h, 0.0, outer),
-        r0=orbit_sizes / strategy_space_size(config.F),
-    )
+    densities = np.clip(outer + _mean_noise_entropy(channel, config) - h, 0.0, outer)
+    best = np.zeros(len(h))
+    best[np.argmax(densities)] = 1.0
+    return blahut_arimoto(np.ones((len(h), 1)), row_const=densities, r0=best)
 
 
 def oracle_capacity(channel, config):

@@ -7,14 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import (
-    ORACLE_ENV_VAR,
-    errorless_capacity,
-    oracle_entry_limit,
-    oracle_solve,
-    secondary_capacity,
-    sweep_point,
-)
+from .capacity import errorless_capacity, oracle_solve, secondary_capacity, sweep_point
 from .channel import PRESET_KINDS, channel_preset
 from .frame_space import MAX_FRAME_LEN, FrameConfig, check_frame_len, symbol_string
 from .simulate import TRACE_CHUNK, run_monte_carlo
@@ -162,20 +155,12 @@ def _cmd_sweep(args):
     return 0
 
 
-@functools.lru_cache(maxsize=1)
-def build_parser(oracle_limit):
-    """The argparse tree; only its epilog, which names the ceiling, depends on the argument.
-
-    Parsing never mutates the tree, so every call under one ceiling shares it.
-    """
+@functools.cache
+def build_parser():
+    """The argparse tree, built once per process: parsing never mutates it."""
     parser = argparse.ArgumentParser(
         prog="reorderchan",
         description="Capacity and strategy construction for the packet-reordering channel.",
-        epilog=(
-            f"The brute-force oracle refuses strategy tables over "
-            f"{oracle_limit} entries; set {ORACLE_ENV_VAR} to override, "
-            "knowing that large tables can exhaust memory."
-        ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -219,12 +204,7 @@ def build_parser(oracle_limit):
 def run_cli(argv=None):
     """Parse argv and run one subcommand; returns the process exit code."""
     try:
-        oracle_limit = oracle_entry_limit()
-    except ValueError as exc:
-        return _fail(exc)
-    parser = build_parser(oracle_limit)
-    try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:

@@ -55,7 +55,8 @@ def test_traced_oracle_counts_the_printed_iterations(capsys):
     argv = ["oracle", "--preset", "erasure", "--p", "0.2", "--a", "0.5", "--F", "4"]
     metrics = _traced_metrics(argv)
     printed = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
-    assert metrics["capacity.blahut_arimoto.iterations"][0] == int(printed["iterations"]) > 1
+    # one step certifies the best orbit, and the tracer sees that step
+    assert metrics["capacity.blahut_arimoto.iterations"][0] == int(printed["iterations"]) == 1
 
 
 def test_general_op_builds_the_set_its_table_gives(monkeypatch):
