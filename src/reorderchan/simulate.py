@@ -23,10 +23,12 @@ from .frame_space import (
 )
 from .strategy import strategy_table
 
-# Bytes a run holds per frame: the draws, the sent-symbol index, the output,
-# np.unique's sort and inverse, the decoded strategy and the histogram key.
-# The tracemalloc peak of a whole run is 74.6 bytes per frame at bsc F = 8
-# with 2e5 frames, and 73.2 at z F = 1 with 1e6 frames (numpy 2.4). The noise
+# Bytes a run holds per frame: the draws, the sent-symbol index, the output
+# and its rank among the outputs observed, the decoded strategy and the
+# histogram key. Outputs are ranked through a presence table only when it has
+# no more entries than there are frames, and by np.unique's sort otherwise.
+# The tracemalloc peak of a whole run is 51.5 bytes per frame at bsc F = 8
+# with 2e5 frames, and 48.0 at z F = 1 with 1e6 frames (numpy 2.4). The noise
 # block is a fixed size, and the decoder works in blocks of at most SLAB_CELLS
 # posterior cells. The joint histogram grows with the distinct outputs
 # observed, not with the frames, and is sized on its own against the ceiling.
@@ -36,6 +38,8 @@ FRAME_BYTES = 80
 MAX_FRAME_BYTES = 1 << 31
 # noise uniforms drawn per block, whole frames at a time: 512 KiB of float64
 NOISE_CHUNK = 1 << 16
+# least number of guide-table buckets in _draw_index, 32 KiB of intp starts
+GUIDE_BUCKETS = 1 << 12
 # trace rows formatted per writelines call, which bounds the writer's strings
 TRACE_CHUNK = 1 << 16
 
@@ -54,23 +58,65 @@ class SimReport:
 def _draw_index(pmf, u):
     """min(searchsorted(cumsum(pmf), u, "right"), len(pmf) - 1) through a guide table.
 
-    Bucket k of m = len(pmf) equal buckets starts the walk at the answer for
-    the bucket edge (k - 1) / m, one bucket back, so rounding in u * m cannot
-    start it past the answer. The walk then steps while cum[idx] <= u; the
-    last entry is +inf, which both stops it and clamps to len(pmf) - 1.
+    Bucket k of max(len(pmf), GUIDE_BUCKETS) equal buckets starts the walk at
+    the answer for the bucket edge one bucket back, so rounding in u * buckets
+    cannot start it past the answer. A draw starts short only when a cum value
+    lies between that edge and u, which for len(pmf) well under the bucket
+    count is about 1.5 len(pmf) / buckets of the draws. Only those walk,
+    stepping while cum[idx] <= u; the last entry is +inf, which both stops
+    the walk and clamps to len(pmf) - 1.
     """
     cum = np.cumsum(pmf)
     cum[-1] = np.inf
-    m = len(cum)
-    start = np.searchsorted(cum, np.arange(-1, m) / m, side="right")
-    idx = start[(u * m).astype(np.intp)]
-    # the step back leaves most draws an entry short: one pass over all, then walk the rest
-    idx += cum[idx] <= u
+    buckets = max(len(cum), GUIDE_BUCKETS)
+    start = np.searchsorted(cum, np.arange(-1, buckets) / buckets, side="right")
+    idx = start[(u * buckets).astype(np.intp)]
     late = np.flatnonzero(cum[idx] <= u)
     while late.size:
         idx[late] += 1
         late = late[cum[idx[late]] <= u[late]]
     return idx
+
+
+def _noisy_outputs(rng, channel, F, used, xi):
+    """Base-J channel output of each frame's sent symbol used[xi], noise from rng.
+
+    Position f of a frame reads letter min(searchsorted(cum[bit], u, "right"),
+    J - 1), where bit is the sent bit there, cum the channel's cumulative rows
+    and u the frame's f-th uniform: the count of thresholds cum[bit, j],
+    j < J - 1, that u reaches. Uniforms come from rng.random in blocks of
+    whole frames.
+    """
+    J = channel.J
+    cum = np.cumsum(channel.matrix(), axis=1)
+    bit_table = output_digits(F, 2, used)
+    # thresholds per sent symbol and position, so a block gathers whole rows
+    thresholds = [cum[:, j][bit_table] for j in range(J - 1)]
+    # letters @ place is the output's value in float64, exact as J**F <= 3**20 < 2**53
+    place = float(J) ** np.arange(F - 1, -1, -1)
+    y = np.empty(len(xi), dtype=np.int64)
+    block = max(1, NOISE_CHUNK // F)
+    for lo in range(0, len(xi), block):
+        xi_block = xi[lo : lo + block]
+        u = rng.random((len(xi_block), F))
+        letters = np.zeros(u.shape, dtype=np.uint8)
+        for thr in thresholds:
+            letters += u >= thr.take(xi_block, axis=0)
+        y[lo : lo + block] = letters @ place
+    return y
+
+
+def _rank_outputs(y, n_outputs):
+    """np.unique(y, return_inverse=True) for outputs y in range(n_outputs).
+
+    With no more possible outputs than frames, a presence table ranks them in
+    two linear passes; past that the table would outgrow the per-frame
+    arrays, and np.unique sorts instead.
+    """
+    if n_outputs > len(y):
+        return np.unique(y, return_inverse=True)
+    seen = np.bincount(y, minlength=n_outputs) > 0
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[y]
 
 
 def _decode_observed(sset, channel, config, pmf_s, used, rep_idx, uniq_y):
@@ -115,6 +161,11 @@ def run_monte_carlo(channel, config, sset, n_frames, seed, trace=None):
         raise ValueError(
             f"{n_frames} frames x {FRAME_BYTES} bytes per frame exceed {MAX_FRAME_BYTES} bytes"
         )
+    if isinstance(trace, (str, os.PathLike)):
+        # a bad path fails here, before the first draw. The rows are written
+        # once the run's numbers are known, through a second open, so that the
+        # writer's open-to-close span in perfbench/tracing.py times only them
+        open(trace, "w").close()
     rng = np.random.Generator(np.random.PCG64(seed))
     pmf_s = state_pmf(config)
     n_t = len(sset)
@@ -124,26 +175,10 @@ def run_monte_carlo(channel, config, sset, n_frames, seed, trace=None):
     used, rep_idx = strategy_table(sset)
     xi = rep_idx[t_draw, s_draw]
 
-    # letter = min(searchsorted(cum[bit], u, "right"), J - 1), summed into y by Horner's rule
-    cum = np.cumsum(channel.matrix(), axis=1)
-    bit_table = output_digits(F, 2, used).astype(np.uint8)
-    y = np.empty(n_frames, dtype=np.int64)
-    block = max(1, NOISE_CHUNK // F)
-    for lo in range(0, n_frames, block):
-        hi = min(lo + block, n_frames)
-        u = rng.random((hi - lo, F))
-        bits = bit_table[xi[lo:hi]]
-        letters = np.zeros(u.shape, dtype=np.uint8)
-        for j in range(J - 1):
-            letters += u >= cum[:, j][bits]
-        y_block = y[lo:hi]
-        y_block[:] = letters[:, 0]
-        for f in range(1, F):
-            y_block *= J
-            y_block += letters[:, f]
-
-    uniq_y, inverse = np.unique(y, return_inverse=True)
-    # the joint histogram holds int64 counts, their float copy, a mask and np.outer
+    uniq_y, inverse = _rank_outputs(_noisy_outputs(rng, channel, F, used, xi), J**F)
+    # the joint histogram holds int64 counts and their float copy, 16 bytes a
+    # cell, then 48 bytes of index and ratio arrays per nonzero cell; 25 a
+    # cell covers them while about a third of the cells or fewer are observed
     cells = n_t * len(uniq_y)
     if cells * 25 > MAX_FRAME_BYTES:
         raise ValueError(
@@ -158,9 +193,9 @@ def run_monte_carlo(channel, config, sset, n_frames, seed, trace=None):
     ).reshape(n_t, len(uniq_y)) / n_frames
     pt = joint.sum(axis=1)
     py = joint.sum(axis=0)
-    mask = joint > 0
-    ratio = joint[mask] / np.outer(pt, py)[mask]
-    empirical = float(np.sum(joint[mask] * np.log2(ratio)))
+    ti, yi = np.nonzero(joint)
+    p_ty = joint[ti, yi]
+    empirical = float(np.sum(p_ty * np.log2(p_ty / (pt[ti] * py[yi]))))
 
     analytical = mutual_info_TY(channel, config, sset).i_ty
 

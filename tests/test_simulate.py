@@ -20,11 +20,14 @@ from reorderchan import simulate
 from reorderchan.cli import fmt, run_cli
 from reorderchan.simulate import (
     FRAME_BYTES,
+    GUIDE_BUCKETS,
     MAX_FRAME_BYTES,
     NOISE_CHUNK,
     SLAB_CELLS,
     _decode_observed,
     _draw_index,
+    _noisy_outputs,
+    _rank_outputs,
 )
 from reorderchan.strategy import strategy_table
 
@@ -62,10 +65,11 @@ def test_transmit_erasure_fraction():
 
 
 def _draw_points(cum):
-    """Uniforms at every cum value and its neighbours, every bucket edge and just below it."""
+    """Uniforms at every cum value, every guide-bucket edge and both neighbours of each."""
     m = len(cum)
-    edges = np.arange(m + 1) / m
-    points = [cum, np.nextafter(cum, 0), np.nextafter(cum, 2), edges, np.nextafter(edges, 0)]
+    edges = np.arange(max(m, GUIDE_BUCKETS) + 1) / max(m, GUIDE_BUCKETS)
+    points = [np.concatenate([cum, edges, np.arange(m + 1) / m])]
+    points += [np.nextafter(points[0], 0), np.nextafter(points[0], 2)]
     u = np.concatenate([*points, [0.0, np.nextafter(1.0, 0)]])
     return u[(u >= 0) & (u < 1)]
 
@@ -81,20 +85,61 @@ def _draw_pmfs():
     yield np.array([0.0, 0.0, 1.0])
     yield np.array([1.0, 0.0, 0.0])
     yield np.array([0.25, 0.0, 0.25, 0.0, 0.0, 0.5, 0.0])
+    yield np.array(FOUR_LETTERS.q0)
+    # more entries than guide buckets, as L at F = 12: one whose first cum value
+    # is the bucket edge 33 / m, which u * m rounds up to from just below, and
+    # one with zeros at both ends and between
+    m = 27_720
+    yield np.concatenate([[33 / m], np.full(m - 1, (1 - 33 / m) / (m - 1))])
+    big = rng.dirichlet(np.full(m, 0.5))
+    big[:3] = big[-3:] = big[1000:1500] = 0.0
+    yield big
     for F in range(1, 21):
         for a in (0.0, 0.05, 0.3, 0.5, 0.97, 1.0):
             yield state_pmf(FrameConfig(F, a))
 
 
 def test_draw_index_equals_searchsorted():
-    ends_below_one = 0
+    ends_below_one = sizes = 0
     for pmf in _draw_pmfs():
         cum = np.cumsum(pmf)
         ends_below_one += cum[-1] < 1.0
+        sizes |= 1 << (len(pmf) > GUIDE_BUCKETS)
         u = _draw_points(cum)
         want = np.minimum(np.searchsorted(cum, u, side="right"), len(pmf) - 1)
         assert np.array_equal(_draw_index(pmf, u), want), pmf
     assert ends_below_one > 0
+    assert sizes == 0b11  # pmfs shorter and longer than the guide table
+
+
+@pytest.mark.parametrize(("J", "F"), [(2, 3), (3, 4), (4, 2)])
+def test_rank_outputs_equals_np_unique(monkeypatch, J, F):
+    n_outputs = J**F
+    rng = np.random.default_rng(n_outputs)
+    cases = []
+    for n_frames in (1, 2, n_outputs - 1, n_outputs, n_outputs + 1, 5 * n_outputs):
+        cases.append(rng.integers(0, n_outputs, n_frames))
+        cases.append(np.full(n_frames, n_outputs - 1))  # one output observed
+        cases.append(np.full(n_frames, 0))
+        if n_frames >= n_outputs:  # every output observed
+            cases.append(rng.permutation(np.resize(np.arange(n_outputs), n_frames)))
+    real_unique = np.unique
+    sorts = []
+
+    def counted_unique(*args, **kwargs):
+        sorts.append(args)
+        return real_unique(*args, **kwargs)
+
+    for y in cases:
+        want_uniq, want_inverse = real_unique(y, return_inverse=True)
+        sorts.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "unique", counted_unique)
+            uniq, inverse = _rank_outputs(y, n_outputs)
+        # np.unique sorts only where the presence table would outgrow the frames
+        assert len(sorts) == (n_outputs > len(y))
+        assert np.array_equal(uniq, want_uniq) and uniq.dtype == want_uniq.dtype
+        assert np.array_equal(inverse, want_inverse) and inverse.dtype == want_inverse.dtype
 
 
 def _decode_all(sset, ch, cfg, ys):
@@ -363,6 +408,53 @@ def test_noise_matches_the_reference_transmit(name, n_frames):
     assert ys == _replayed_outputs(ch, F, xs, n_frames, seed)
 
 
+class _ReplayedUniforms:
+    """Stands in for the run's generator: random(shape) hands out the given rows in order."""
+
+    def __init__(self, u):
+        self.u, self.used = u, 0
+
+    def random(self, shape):
+        rows = self.u[self.used : self.used + shape[0]]
+        self.used += shape[0]
+        assert rows.shape == shape
+        return rows
+
+
+# q0's cumsum ends at 1 - 5e-13, so uniforms above it must clamp to letter J - 1
+SHORT_ROW = BinaryInputChannel((0.5, 0.3, 0.2 - 5e-13), (0.2, 0.3, 0.5), "xyz")
+
+
+@pytest.mark.parametrize("name", ["bsc", "z", "erasure", "short_row", "four_letters"])
+def test_noise_stage_matches_a_per_position_loop(monkeypatch, name):
+    short = {"short_row": SHORT_ROW, "four_letters": FOUR_LETTERS}
+    ch = short.get(name) or channel_preset(name, 0.3)
+    F, n_frames = 4, 500
+    # three frames per block, so the run ends on a part block
+    monkeypatch.setattr(simulate, "NOISE_CHUNK", 3 * F)
+    cum = np.cumsum(ch.matrix(), axis=1)
+    rng = np.random.default_rng(29)
+    edges = np.concatenate([cum.ravel(), [0.0, 1 - 2.0**-45, np.nextafter(1.0, 0)]])
+    special = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, 2)])
+    special = np.tile(special[special < 1], 8)  # so that each meets both sent bits
+    u = rng.random((n_frames, F))
+    u.flat[: len(special)] = special
+    if name in short:
+        assert cum[0, -1] < 1.0 and (u >= cum[0, -1]).any()
+    used = np.arange(1 << F)
+    xi = rng.integers(0, len(used), n_frames)
+    y = _noisy_outputs(_ReplayedUniforms(u), ch, F, used, xi)
+    want = []
+    for i in range(n_frames):
+        value = 0
+        for f in range(F):
+            bit = (int(used[xi[i]]) >> (F - 1 - f)) & 1
+            letter = min(int(np.searchsorted(cum[bit], u[i, f], side="right")), ch.J - 1)
+            value = value * ch.J + letter
+        want.append(value)
+    assert y.tolist() == want
+
+
 def test_trace_to_file_object_matches_trace_to_path(tmp_path):
     ch, F, a, n_frames, seed = LIBRARY_RUNS["past_one_chunk"]
     assert n_frames > 1 << 16
@@ -404,7 +496,7 @@ def test_simulate_cli_refuses_oversized_draws(capsys):
 
 
 def _no_draws(*args):
-    raise AssertionError("a frame was drawn before the seed was checked")
+    raise AssertionError("a frame was drawn before the run's inputs were checked")
 
 
 def test_run_monte_carlo_refuses_a_negative_seed_before_any_draw(monkeypatch):
@@ -420,6 +512,33 @@ def test_simulate_cli_refuses_a_negative_seed(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: seed must be a nonnegative integer, got -1\n"
+
+
+def _no_dir(tmp_path):
+    return tmp_path
+
+
+def _no_parent(tmp_path):
+    return tmp_path / "missing" / "trace.csv"
+
+
+@pytest.mark.parametrize("bad_path", [_no_dir, _no_parent])
+def test_run_monte_carlo_refuses_a_bad_trace_before_any_draw(monkeypatch, tmp_path, bad_path):
+    monkeypatch.setattr(simulate, "_draw_index", _no_draws)
+    ch, cfg = channel_preset("bsc", 0.1), FrameConfig(4, 0.5)
+    with pytest.raises(OSError):
+        run_monte_carlo(ch, cfg, SET4, 10, 1, trace=bad_path(tmp_path))
+
+
+@pytest.mark.parametrize("bad_path", [_no_dir, _no_parent])
+def test_simulate_cli_refuses_a_bad_trace_before_any_draw(monkeypatch, capsys, tmp_path, bad_path):
+    monkeypatch.setattr(simulate, "_draw_index", _no_draws)
+    argv = ["simulate", "--preset", "bsc", "--p", "0.1", "--a", "0.5", "--F", "4"]
+    assert run_cli(argv + ["--frames", "10", "--trace", str(bad_path(tmp_path))]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(bad_path(tmp_path)) in captured.err
 
 
 # erasure F = 6 at 1 000 frames observes hundreds of outputs for 60 strategies,
