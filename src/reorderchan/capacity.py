@@ -27,8 +27,10 @@ DECOMPOSITION_TOL = 1e-9
 BA_TOL = 1e-10
 BA_MAX_ITER = 100_000
 MAX_TABLE_BYTES = 1 << 31  # the 2 GiB that also bounds strategy sets and Monte Carlo frames
-# tracemalloc peak of `oracle_solve` per cell of its (2^F + orbits) x J^F table,
-# measured at F = 6 and 7 on every preset: likelihood rows, mixed rows, two entropy temporaries
+# bytes per cell of the (2^F + orbits) x J^F table that `oracle_solve` is refused on: a
+# conservative figure, the tracemalloc peak per cell when that table was built whole (F = 6
+# and 7, every preset). The oracle now walks it in slab blocks and peaks under 3 MB through
+# F = 7, but a smaller figure would admit F = 8 and the partition of its 423,076 orbits
 TABLE_CELL_BYTES = 24
 # output columns per block of `_orbit_rates`, the only reader: the block
 # boundaries fix the float sum order behind the printed `capacity` bytes
@@ -151,31 +153,46 @@ def _orbit_rates(channel, config):
     return h_types - h_stair, outer_bound(channel, config), h_stair - noise
 
 
+def _likelihood_blocks(channel, F, xs, n_mixed):
+    """Per block of output columns: (likelihood rows of xs, mixed-row buffer, scratch buffer).
+
+    A block holds SLAB_CELLS // max(n_mixed, len(xs)) columns, so no slab
+    passes SLAB_CELLS cells. The three are C-contiguous views of buffers
+    allocated once per call for the widest block, with len(xs), n_mixed and
+    n_mixed rows, and every block is written into them: a block's arrays are
+    overwritten by the next.
+    """
+    total_cols = channel.J**F
+    width = min(max(1, SLAB_CELLS // max(n_mixed, len(xs))), total_cols)
+    buffers = [np.empty((n, width)) for n in (len(xs), n_mixed, n_mixed)]
+    for start in range(0, total_cols, width):
+        cols = np.arange(start, min(start + width, total_cols), dtype=np.int64)
+        if len(cols) < width:  # the last block: the leading cells of each buffer
+            buffers = [b.ravel()[: b.shape[0] * len(cols)].reshape(b.shape[0], -1) for b in buffers]
+        rows, mixed, scratch = buffers
+        yield likelihood_rows(channel, F, xs, cols, out=rows), mixed, scratch
+
+
 def _enumerated_rates(channel, config, sset):
     """(i_ty, i_xy, i_xy_given_t) of any strategy set, by enumerating every strategy row.
 
     One blocked pass over the output space mixes each block's likelihood rows
-    twice: by strategy, for H(Y) and the per-strategy output entropies, and
-    by symbol under the induced input law, for the H(Y) inside I(X;Y). A
-    block holds SLAB_CELLS // max(strategies, symbols) columns, so neither
-    slab passes SLAB_CELLS cells.
+    twice: by symbol under the induced input law, for the H(Y) inside
+    I(X;Y), and then by strategy, for H(Y) and the per-strategy output
+    entropies, whose p log p terms reuse the mixing scratch.
     """
     F = config.F
     pmf_s = state_pmf(config)
     pmf_t = sset.pmf
     used, rep_idx = strategy_table(sset)
     p_x = induced_input_pmf(sset, config)[used]
-    total_cols = channel.J**F
-    width = max(1, SLAB_CELLS // max(len(pmf_t), len(used)))
     h_t = np.zeros(len(pmf_t))
     h_y = h_y_by_x = 0.0
-    for start in range(0, total_cols, width):
-        cols = np.arange(start, min(start + width, total_cols), dtype=np.int64)
-        rows = likelihood_rows(channel, F, used, cols)
-        trows = mix_states(rows, rep_idx, pmf_s)
-        h_t += entropy_bits(trows)
+    for rows, trows, scratch in _likelihood_blocks(channel, F, used, len(pmf_t)):
+        h_y_by_x += entropy_bits(p_x @ rows)  # before mix_states scales rows
+        mix_states(rows, rep_idx, pmf_s, out=trows, scratch=scratch)
         h_y += entropy_bits(pmf_t @ trows)
-        h_y_by_x += entropy_bits(p_x @ rows)
+        h_t += entropy_bits(trows, scratch=scratch)
     noise = _mean_noise_entropy(channel, config)
     h_y_given_t = float(pmf_t @ h_t)
     return h_y - h_y_given_t, h_y_by_x - noise, h_y_given_t - noise
@@ -338,11 +355,17 @@ def orbit_channel(channel, config):
     The channel is the same at every position, so W(pi y | pi t) = W(y | t)
     and every member of an orbit has the output entropy h of its
     representative. The orbits come from `_map_orbits`, once per process per F.
+    The output columns are walked in slab blocks, so the mixed orbit rows are
+    never held whole; each orbit's entropy is summed over the blocks.
     """
     F = config.F
+    pmf_s = state_pmf(config)
     orbit_sizes, reps = _map_orbits(F)
-    rows = likelihood_rows(channel, F, list(range(1 << F)))
-    return orbit_sizes, entropy_bits(mix_states(rows, reps, state_pmf(config)))
+    h = np.zeros(len(reps))
+    for rows, mixed, scratch in _likelihood_blocks(channel, F, np.arange(1 << F), len(reps)):
+        mix_states(rows, reps, pmf_s, out=mixed, scratch=scratch)
+        h += entropy_bits(mixed, scratch=scratch)
+    return orbit_sizes, h
 
 
 def blahut_arimoto(W, tol=BA_TOL, max_iter=BA_MAX_ITER, row_const=None, r0=None):
@@ -391,8 +414,9 @@ def oracle_solve(channel, config):
     One Blahut-Arimoto step on the lumped channel, started on the best orbit,
     certifies it: its lower bound sum_t r_t D_t and its upper bound max_t D_t
     are then the same number, so it returns gap 0.0 after 1 iteration. The
-    result's input_pmf is that one-hot law over map orbits. The
-    (2^F + orbits) x J^F table is refused in bytes before the orbits are read.
+    result's input_pmf is that one-hot law over map orbits. The call is
+    refused on the bytes of the (2^F + orbits) x J^F table before the orbits
+    are read, although `orbit_channel` holds only slab blocks of it.
     """
     _check_table_bytes(config.F, channel.J, _orbit_bound(config.F), "orbit table")
     _, h = orbit_channel(channel, config)

@@ -9,13 +9,19 @@ ROW_SUM_TOL = 1e-12
 PRESET_KINDS = ("erasure", "bsc", "z")
 
 
-def entropy_bits(pmf):
-    """Shannon entropy in bits, 0 log 0 = 0, of a vector or of each row of a matrix."""
+def entropy_bits(pmf, scratch=None):
+    """Shannon entropy in bits, 0 log 0 = 0, of a vector or of each row of a matrix.
+
+    A matrix's p log p terms are formed in scratch, an array of its shape,
+    when one is given, and in a new array otherwise.
+    """
     p = np.asarray(pmf, dtype=float)
     if p.ndim == 2:
-        logs = np.zeros_like(p)
-        np.log2(p, out=logs, where=p > 0)
-        return -(p * logs).sum(axis=1)
+        terms = np.empty_like(p) if scratch is None else scratch
+        terms.fill(0.0)
+        np.log2(p, out=terms, where=p > 0)
+        terms *= p
+        return -terms.sum(axis=1)
     p = p[p > 0]
     # adding 0.0 keeps a degenerate vector from printing as -0.0
     return float(-np.sum(p * np.log2(p)) + 0.0)

@@ -33,9 +33,9 @@ from reorderchan import (
     z_fixed_input_capacity,
     z_point_capacity,
 )
-from reorderchan import capacity
+from reorderchan import capacity, frame_space
 from reorderchan.capacity import TABLE_CELL_BYTES, equivalent_channel_matrix, strategy_space_size
-from reorderchan.frame_space import weight_table
+from reorderchan.frame_space import mix_states, state_pmf, weight_table
 from reorderchan.strategy import strategy_table
 from test_strategy import STAIR3, permutation_set
 
@@ -705,9 +705,9 @@ def test_general_rates_do_not_depend_on_block_width(monkeypatch):
     slab_rows = max(len(sset), len(strategy_table(sset)[0]))
     widths = []
 
-    def spy(channel, F, xs, cols=None):
+    def spy(channel, F, xs, cols=None, out=None):
         widths.append(len(cols))
-        return likelihood_rows(channel, F, xs, cols)
+        return likelihood_rows(channel, F, xs, cols, out=out)
 
     monkeypatch.setattr(capacity, "likelihood_rows", spy)
     whole = mutual_info_TY(ch, cfg, sset)
@@ -735,3 +735,140 @@ def test_general_rates_stay_within_a_few_slabs_of_memory():
         tracemalloc.stop()
     assert report.method == "enumerated"
     assert peak < 8 << 20, peak
+
+
+# a three-letter channel with no symmetry between its rows or letters
+UNEVEN = BinaryInputChannel((0.7, 0.2, 0.1), (0.15, 0.05, 0.8), "xyz")
+BLOCK_CHANNELS = (
+    *(channel_preset(kind, 0.2) for kind in ("erasure", "bsc", "z")),
+    FOUR_LETTERS,
+    UNEVEN,
+)
+
+
+def _plain_mix(rows, rep_idx, pmf_s):
+    """P(y | t) from fresh copies: zeros, plus pmf_s[s] rows[rep_idx[:, s]] for s ascending."""
+    out = np.zeros((len(rep_idx), rows.shape[1]))
+    for s, p in enumerate(pmf_s):
+        out += rows[rep_idx[:, s]] * p
+    return out
+
+
+def _plain_row_entropies(p):
+    logs = np.zeros_like(p)
+    np.log2(p, out=logs, where=p > 0)
+    return -(p * logs).sum(axis=1)
+
+
+def test_likelihood_blocks_equal_fresh_rows_and_mixing(monkeypatch):
+    # blocks of 1 column, of 7 (no J^F here is a multiple of 7, so the last
+    # block is partial) and one block of all J^F; sets with fewer used
+    # symbols than strategies (F = 3 and 5) and with more (F = 4)
+    depths = []
+    prefix_table = frame_space._prefix_table
+
+    def spy(q, k):
+        depths.append(k)
+        return prefix_table(q, k)
+
+    monkeypatch.setattr(frame_space, "_prefix_table", spy)
+    seen = set()
+    for ch in BLOCK_CHANNELS:
+        for F, n_strategies in ((3, 20), (4, 3), (5, 40)):
+            sset = _random_set(F, n_strategies, seed=F)
+            used, rep_idx = strategy_table(sset)
+            pmf_s = state_pmf(FrameConfig(F, 0.3))
+            seen.add("fewer used" if len(used) < len(sset) else "more used")
+            total = ch.J**F
+            for width in (1, 7, total):
+                monkeypatch.setattr(capacity, "SLAB_CELLS", width * max(len(sset), len(used)))
+                start, first = 0, None
+                for block in capacity._likelihood_blocks(ch, F, used, len(sset)):
+                    rows, mixed, scratch = block
+                    k = depths[-1]
+                    cols = np.arange(start, start + rows.shape[1])
+                    start += len(cols)
+                    assert len(cols) == min(width, total - cols[0])
+                    seen.add("rows first" if ch.J**k <= len(cols) else "columns first")
+                    # every block is written into the first block's buffers
+                    first = first or block
+                    assert all(np.shares_memory(a, b) for a, b in zip(block, first))
+                    fresh = likelihood_rows(ch, F, used, cols)
+                    assert np.array_equal(rows, fresh), (ch, F, width, start)
+                    want = _plain_mix(fresh, rep_idx, pmf_s)
+                    assert np.array_equal(mix_states(fresh, rep_idx, pmf_s), want)
+                    got = mix_states(rows, rep_idx, pmf_s, out=mixed, scratch=scratch)
+                    assert got is mixed and np.array_equal(got, want), (ch, F, width, start)
+                    h = entropy_bits(got, scratch=scratch)
+                    assert np.array_equal(h, _plain_row_entropies(want))
+                assert start == total
+    assert seen == {"fewer used", "more used", "rows first", "columns first"}
+
+
+def _plain_enumerated_rates(channel, config, sset):
+    """`_enumerated_rates` as a per-block loop that allocates every array afresh."""
+    F = config.F
+    pmf_s, pmf_t = state_pmf(config), sset.pmf
+    used, rep_idx = strategy_table(sset)
+    p_x = induced_input_pmf(sset, config)[used]
+    total = channel.J**F
+    width = max(1, capacity.SLAB_CELLS // max(len(pmf_t), len(used)))
+    h_t = np.zeros(len(pmf_t))
+    h_y = h_y_by_x = 0.0
+    for start in range(0, total, width):
+        cols = np.arange(start, min(start + width, total))
+        rows = likelihood_rows(channel, F, used, cols)
+        trows = _plain_mix(rows, rep_idx, pmf_s)
+        h_t += _plain_row_entropies(trows)
+        h_y += entropy_bits(pmf_t @ trows)
+        h_y_by_x += entropy_bits(p_x @ rows)
+    noise = capacity._mean_noise_entropy(channel, config)
+    h_y_given_t = float(pmf_t @ h_t)
+    return h_y - h_y_given_t, h_y_by_x - noise, h_y_given_t - noise
+
+
+def test_enumerated_rates_equal_a_plain_block_loop(monkeypatch):
+    # (F, strategies, SLAB_CELLS): one block, then blocks of 7 columns, then
+    # a set of the benchmark's size in its default blocks
+    full = capacity.SLAB_CELLS
+    cases = ((3, 20, full), (3, 20, 7 * 20), (5, 40, full), (5, 40, 7 * 40), (6, 200, full))
+    for ch in BLOCK_CHANNELS:
+        for F, n_strategies, slab in cases:
+            cfg, sset = FrameConfig(F, 0.35), _random_set(F, n_strategies, seed=F + 10)
+            monkeypatch.setattr(capacity, "SLAB_CELLS", slab)
+            got = capacity._enumerated_rates(ch, cfg, sset)
+            assert got == _plain_enumerated_rates(ch, cfg, sset), (ch, F, slab)
+
+
+@pytest.mark.parametrize("kind", ["erasure", "bsc", "z"])
+def test_orbit_channel_blocks_agree_with_the_whole_table(kind):
+    # bit for bit where one block holds every output (F <= 5, and bsc and z
+    # at F = 6); several blocks at erasure F = 6 and bsc and z at F = 7 move
+    # the order of each row's sum. Erasure F = 7 would build 150 MB here
+    ch = channel_preset(kind, 0.2)
+    for F in range(1, 8 if ch.J == 2 else 7):
+        cfg = FrameConfig(F, 0.4)
+        orbit_sizes, reps = capacity._map_orbits(F)
+        rows = likelihood_rows(ch, F, list(range(1 << F)))
+        want = _plain_row_entropies(_plain_mix(rows, reps, state_pmf(cfg)))
+        sizes, h = capacity.orbit_channel(ch, cfg)
+        assert sizes is orbit_sizes
+        if capacity.SLAB_CELLS // max(len(reps), 1 << F) >= ch.J**F:
+            assert np.array_equal(h, want), F
+        else:
+            assert F >= 6 and np.abs(h - want).max() <= 1e-12, F
+
+
+def test_oracle_stays_within_a_few_slabs_of_memory():
+    # erasure F = 7 mixes 8 535 orbit rows over 3^7 outputs: 150 MB as one
+    # table, which the oracle used to build; blocks keep it to a few slabs
+    ch, cfg = channel_preset("erasure", 0.2), FrameConfig(7, 0.5)
+    capacity._map_orbits(7)  # the partition is cached per process; build it first
+    tracemalloc.start()
+    try:
+        result = capacity.oracle_solve(ch, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.capacity == pytest.approx(3.5333196126, abs=1e-10)
+    assert peak < 16 << 20, peak

@@ -16,6 +16,16 @@ def test_entropy_bits_basics():
     assert abs(entropy_bits([1 / 8] * 8) - 3.0) < 1e-12
 
 
+def test_entropy_bits_rows_in_scratch_match_fresh_rows():
+    # whatever scratch holds beforehand, zero cells add 0 log 0 = 0
+    p = np.array([[0.5, 0.0, 0.25, 0.25], [0.0, 1.0, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4]])
+    want = entropy_bits(p)
+    assert want.tolist() == [1.5, 0.0, entropy_bits(p[2])]
+    for junk in (np.nan, np.inf, -1.0):
+        scratch = np.full_like(p, junk)
+        assert np.array_equal(entropy_bits(p, scratch=scratch), want), junk
+
+
 def test_binary_entropy_values():
     assert binary_entropy(0.0) == 0.0
     assert binary_entropy(1.0) == 0.0
