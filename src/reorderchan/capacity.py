@@ -15,13 +15,14 @@ import numpy as np
 from .channel import binary_entropy, channel_preset, entropy_bits, row_entropy
 from .frame_space import (
     FrameConfig,
+    _prefix_table,
     enumerate_weight_class,
     likelihood_rows,
     mix_states,
     output_digits,
     state_pmf,
 )
-from .strategy import induced_input_pmf, strategy_table
+from .strategy import induced_input_pmf
 
 DECOMPOSITION_TOL = 1e-9
 BA_TOL = 1e-10
@@ -29,7 +30,7 @@ BA_MAX_ITER = 100_000
 MAX_TABLE_BYTES = 1 << 31  # the 2 GiB that also bounds strategy sets and Monte Carlo frames
 # bytes per cell of the (2^F + orbits) x J^F table that `oracle_solve` is refused on: a
 # conservative figure, the tracemalloc peak per cell when that table was built whole (F = 6
-# and 7, every preset). The oracle now walks it in slab blocks and peaks under 3 MB through
+# and 7, every preset). The oracle now walks it in slab blocks and peaks under 5 MB through
 # F = 7, but a smaller figure would admit F = 8 and the partition of its 423,076 orbits
 TABLE_CELL_BYTES = 24
 # output columns per block of `_orbit_rates`, the only reader: the block
@@ -153,48 +154,56 @@ def _orbit_rates(channel, config):
     return h_types - h_stair, outer_bound(channel, config), h_stair - noise
 
 
-def _likelihood_blocks(channel, F, xs, n_mixed):
-    """Per block of output columns: (likelihood rows of xs, mixed-row buffer, scratch buffer).
+def _output_entropies(channel, F, pmf_s, reps, pmf_t=None, p_x=None):
+    """(h, h_y_by_t, h_y_by_x): H(Y | T=t) for each strategy row of reps, and two H(Y).
 
-    A block holds SLAB_CELLS // max(n_mixed, len(xs)) columns, so no slab
-    passes SLAB_CELLS cells. The three are C-contiguous views of buffers
-    allocated once per call for the widest block, with len(xs), n_mixed and
-    n_mixed rows, and every block is written into them: a block's arrays are
-    overwritten by the next.
+    The channel is the same at every position, so with m = F // 2 and the
+    prefix tables A of the first F - m positions and B of the last m,
+    P(y | x) = A[x >> m, y // J^m] * B[x mod 2^m, y mod J^m]. Strategy t's
+    law sum_s pmf_s[s] P(y | reps[t, s]), as a J^(F-m) x J^m matrix, is then
+    (A[pre_t].T * pmf_s) @ B[suf_t]. h_y_by_t mixes those laws by pmf_t;
+    h_y_by_x is the entropy of A.T @ P_x @ B, P_x the 2^(F-m) x 2^m reshape of
+    the input law p_x; each is None without its law. Blocks run over strategies,
+    and over prefix rows of y once one law passes SLAB_CELLS: no block of laws does.
     """
-    total_cols = channel.J**F
-    width = min(max(1, SLAB_CELLS // max(n_mixed, len(xs))), total_cols)
-    buffers = [np.empty((n, width)) for n in (len(xs), n_mixed, n_mixed)]
-    for start in range(0, total_cols, width):
-        cols = np.arange(start, min(start + width, total_cols), dtype=np.int64)
-        if len(cols) < width:  # the last block: the leading cells of each buffer
-            buffers = [b.ravel()[: b.shape[0] * len(cols)].reshape(b.shape[0], -1) for b in buffers]
-        rows, mixed, scratch = buffers
-        yield likelihood_rows(channel, F, xs, cols, out=rows), mixed, scratch
+    m = F // 2
+    q = channel.matrix()
+    A, B = _prefix_table(q, F - m), _prefix_table(q, m)
+    n_pre, width = A.shape[1], B.shape[1]
+    span = min(n_pre, max(1, SLAB_CELLS // width))  # prefix rows of y per block
+    step = max(1, SLAB_CELLS // (span * width))  # rows of reps per block
+    pre, suf = reps >> m, reps & ((1 << m) - 1)
+    p_xb = None if p_x is None else np.reshape(p_x, (-1, 1 << m)) @ B
+    h = np.zeros(len(reps))
+    h_y_by_t = None if pmf_t is None else 0.0
+    h_y_by_x = None if p_x is None else 0.0
+    for lo in range(0, n_pre, span):
+        a = A[:, lo : lo + span]
+        mix = 0.0
+        for t in range(0, len(reps), step):
+            laws = np.matmul(a[pre[t : t + step]].transpose(0, 2, 1) * pmf_s, B[suf[t : t + step]])
+            laws = laws.reshape(len(laws), -1)
+            h[t : t + step] += entropy_bits(laws)
+            if pmf_t is not None:
+                mix += pmf_t[t : t + step] @ laws
+        if pmf_t is not None:
+            h_y_by_t += entropy_bits(mix)
+        if p_x is not None:
+            h_y_by_x += entropy_bits((a.T @ p_xb).ravel())
+    return h, h_y_by_t, h_y_by_x
 
 
 def _enumerated_rates(channel, config, sset):
     """(i_ty, i_xy, i_xy_given_t) of any strategy set, by enumerating every strategy row.
 
-    One blocked pass over the output space mixes each block's likelihood rows
-    twice: by symbol under the induced input law, for the H(Y) inside
-    I(X;Y), and then by strategy, for H(Y) and the per-strategy output
-    entropies, whose p log p terms reuse the mixing scratch.
+    `_output_entropies` gives H(Y | T=t) for each strategy and H(Y) twice:
+    mixed by strategy for I(T;Y), and by symbol under the induced input law
+    for I(X;Y), so the split check compares two independently mixed numbers.
     """
-    F = config.F
-    pmf_s = state_pmf(config)
-    pmf_t = sset.pmf
-    used, rep_idx = strategy_table(sset)
-    p_x = induced_input_pmf(sset, config)[used]
-    h_t = np.zeros(len(pmf_t))
-    h_y = h_y_by_x = 0.0
-    for rows, trows, scratch in _likelihood_blocks(channel, F, used, len(pmf_t)):
-        h_y_by_x += entropy_bits(p_x @ rows)  # before mix_states scales rows
-        mix_states(rows, rep_idx, pmf_s, out=trows, scratch=scratch)
-        h_y += entropy_bits(pmf_t @ trows)
-        h_t += entropy_bits(trows, scratch=scratch)
+    p_x, pmf_s = induced_input_pmf(sset, config), state_pmf(config)
+    h_t, h_y, h_y_by_x = _output_entropies(channel, config.F, pmf_s, sset.reps, sset.pmf, p_x)
     noise = _mean_noise_entropy(channel, config)
-    h_y_given_t = float(pmf_t @ h_t)
+    h_y_given_t = float(sset.pmf @ h_t)
     return h_y - h_y_given_t, h_y_by_x - noise, h_y_given_t - noise
 
 
@@ -354,17 +363,11 @@ def orbit_channel(channel, config):
 
     The channel is the same at every position, so W(pi y | pi t) = W(y | t)
     and every member of an orbit has the output entropy h of its
-    representative. The orbits come from `_map_orbits`, once per process per F.
-    The output columns are walked in slab blocks, so the mixed orbit rows are
-    never held whole; each orbit's entropy is summed over the blocks.
+    representative. The orbits come from `_map_orbits`, once per process per F,
+    and their entropies from `_output_entropies`, which holds slab blocks only.
     """
-    F = config.F
-    pmf_s = state_pmf(config)
-    orbit_sizes, reps = _map_orbits(F)
-    h = np.zeros(len(reps))
-    for rows, mixed, scratch in _likelihood_blocks(channel, F, np.arange(1 << F), len(reps)):
-        mix_states(rows, reps, pmf_s, out=mixed, scratch=scratch)
-        h += entropy_bits(mixed, scratch=scratch)
+    orbit_sizes, reps = _map_orbits(config.F)
+    h, _, _ = _output_entropies(channel, config.F, state_pmf(config), reps)
     return orbit_sizes, h
 
 

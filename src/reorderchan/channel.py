@@ -9,17 +9,17 @@ ROW_SUM_TOL = 1e-12
 PRESET_KINDS = ("erasure", "bsc", "z")
 
 
-def entropy_bits(pmf, scratch=None):
+def entropy_bits(pmf):
     """Shannon entropy in bits, 0 log 0 = 0, of a vector or of each row of a matrix.
 
-    A matrix's p log p terms are formed in scratch, an array of its shape,
-    when one is given, and in a new array otherwise.
+    A matrix's p log p terms need no mask: log2 of max(p, 5e-324), the
+    smallest subnormal, is finite, so a zero cell gives a zero term, and every
+    p > 0 keeps its own.
     """
     p = np.asarray(pmf, dtype=float)
     if p.ndim == 2:
-        terms = np.empty_like(p) if scratch is None else scratch
-        terms.fill(0.0)
-        np.log2(p, out=terms, where=p > 0)
+        terms = np.maximum(p, 5e-324)
+        np.log2(terms, out=terms)
         terms *= p
         return -terms.sum(axis=1)
     p = p[p > 0]

@@ -114,13 +114,11 @@ def _prefix_table(q, k):
     return table
 
 
-def likelihood_rows(channel, F, xs, cols=None, out=None):
+def likelihood_rows(channel, F, xs, cols=None):
     """Rows P(y | x) for each symbol in xs over the given output columns.
 
     cols defaults to the whole output space; pass an index array to keep
-    memory bounded when J**F is large. out, a C-contiguous float64 array of
-    shape (len(xs), len(cols)), receives the rows and is returned; without it
-    the rows are a new array.
+    memory bounded when J**F is large.
 
     P(y | x) is the product over positions of q_{x_f}(y_f). The first k
     factors come from a prefix table shared by every cell with the same
@@ -139,18 +137,15 @@ def likelihood_rows(channel, F, xs, cols=None, out=None):
         k += 1
     table = _prefix_table(q, k)
     row_idx, col_idx = xs >> (F - k), cols // J ** (F - k)
-    # into out, mode "raise" would gather through a temporary first; "clip"
-    # writes in place and leaves the in-range indices of valid symbols as they are
-    mode = "raise" if out is None else "clip"
     # (2J)^k <= len(xs) len(cols) means 2^k <= len(xs) or J^k <= len(cols), so
     # taking first along the axis that does not grow keeps the step within the slab
     if J**k <= len(cols):
         if whole and k == F:
-            rows = np.take(table, row_idx, axis=0, out=out, mode=mode)
+            rows = np.take(table, row_idx, axis=0)
         else:
-            rows = np.take(np.take(table, row_idx, axis=0), col_idx, axis=1, out=out, mode=mode)
+            rows = np.take(np.take(table, row_idx, axis=0), col_idx, axis=1)
     else:
-        rows = np.take(np.take(table, col_idx, axis=1), row_idx, axis=0, out=out, mode=mode)
+        rows = np.take(np.take(table, col_idx, axis=1), row_idx, axis=0)
     digits = output_digits(F - k, J, cols)
     bits = output_digits(F - k, 2, xs)
     for f in range(F - k):
@@ -160,17 +155,15 @@ def likelihood_rows(channel, F, xs, cols=None, out=None):
     return rows
 
 
-def mix_states(rows, rep_idx, pmf_s, out=None, scratch=None):
+def mix_states(rows, rep_idx, pmf_s):
     """Rows sum_s pmf_s[s] * rows[rep_idx[:, s]]: P(y | t) with the frame state mixed.
 
     rows holds P(. | x) for the symbols that rep_idx points into, one row of
     rep_idx per strategy, and is scaled in place: a symbol's weight is its
     state, so each row sits in one state column and is multiplied by that
     state's mass once, however many strategies send it. States are then
-    added in ascending order, state 0's rows gathered into out and each later
-    state's through scratch, so every caller gets the same bits for the same
-    strategy. out and scratch, of shape (len(rep_idx), rows.shape[1]), are
-    allocated when not given; out is returned.
+    added in ascending order, state 0's rows gathered into the result and
+    each later state's through one scratch array.
     """
     weight_mass = np.zeros(len(rows))
     weight_mass[rep_idx] = pmf_s
@@ -178,8 +171,8 @@ def mix_states(rows, rep_idx, pmf_s, out=None, scratch=None):
     shape = (len(rep_idx), rows.shape[1])
     # scratch first: for the MAP decoder's allocating calls this order measured
     # about 1 MB less peak RSS over a `monte_carlo` benchmark run than the other
-    scratch = np.empty(shape) if scratch is None else scratch
-    out = np.empty(shape) if out is None else out
+    scratch = np.empty(shape)
+    out = np.empty(shape)
     by_state = np.ascontiguousarray(rep_idx.T)
     np.take(rows, by_state[0], axis=0, out=out, mode="clip")
     for idx in by_state[1:]:

@@ -696,27 +696,39 @@ def test_random_set_reports_enumerated():
     assert report.i_ty == pytest.approx(want, abs=1e-10)
 
 
+def _law_blocks(monkeypatch):
+    """Record the shape of every block of strategy laws `_output_entropies` takes entropies of."""
+    shapes = []
+
+    def spy(pmf):
+        if np.ndim(pmf) == 2:
+            shapes.append(np.shape(pmf))
+        return entropy_bits(pmf)
+
+    monkeypatch.setattr(capacity, "entropy_bits", spy)
+    return shapes
+
+
 def test_general_rates_do_not_depend_on_block_width(monkeypatch):
-    # 729 erasure outputs at F = 6: one block by default, then blocks of 100
-    # columns and of 1, so both H(Y) sums and the split check run across
-    # block boundaries
+    # 50 strategies over 729 erasure outputs at F = 6, a 27 x 27 law each:
+    # one block by default; blocks of 7 strategies (the last holds 1); one
+    # strategy per block; and prefix rows of y split 3 and 5 to a block (the
+    # last holds 2), so every H(Y) sum and the split check cross block edges
     ch, cfg = channel_preset("erasure", 0.2), FrameConfig(6, 0.4)
     sset = _random_set(6, 50, seed=5)
-    slab_rows = max(len(sset), len(strategy_table(sset)[0]))
-    widths = []
-
-    def spy(channel, F, xs, cols=None, out=None):
-        widths.append(len(cols))
-        return likelihood_rows(channel, F, xs, cols, out=out)
-
-    monkeypatch.setattr(capacity, "likelihood_rows", spy)
+    shapes = _law_blocks(monkeypatch)
     whole = mutual_info_TY(ch, cfg, sset)
-    assert widths == [729]
-    for width in (100, 1):
-        widths.clear()
-        monkeypatch.setattr(capacity, "SLAB_CELLS", width * slab_rows)
+    assert shapes == [(50, 729)]
+    for slab, first, last in ((7 * 729, (7, 729), (1, 729)), (729, (1, 729), (1, 729)),
+                              (100, (1, 81), (1, 81)), (135, (1, 135), (1, 54))):
+        shapes.clear()
+        monkeypatch.setattr(capacity, "SLAB_CELLS", slab)
         blocked = mutual_info_TY(ch, cfg, sset)
-        assert max(widths) == width and sum(widths) == 729
+        assert (shapes[0], shapes[-1]) == (first, last), slab
+        assert sum(n * cells for n, cells in shapes) == 50 * 729
+        assert max(n * cells for n, cells in shapes) <= slab
+        plain = _plain_enumerated_rates(ch, cfg, sset)
+        assert blocked == capacity._checked_report(ch, cfg, "enumerated", plain), slab
         for name in ("i_ty", "i_xy", "i_xy_given_t"):
             assert getattr(blocked, name) == pytest.approx(getattr(whole, name), abs=1e-12), name
 
@@ -760,91 +772,138 @@ def _plain_row_entropies(p):
     return -(p * logs).sum(axis=1)
 
 
-def test_likelihood_blocks_equal_fresh_rows_and_mixing(monkeypatch):
-    # blocks of 1 column, of 7 (no J^F here is a multiple of 7, so the last
-    # block is partial) and one block of all J^F; sets with fewer used
-    # symbols than strategies (F = 3 and 5) and with more (F = 4)
-    depths = []
-    prefix_table = frame_space._prefix_table
+def _slow_entropies(channel, config, sset, cols=None):
+    """(h, h_y_by_t, h_y_by_x) from likelihood rows, mix_states and masked row entropies.
 
-    def spy(q, k):
-        depths.append(k)
-        return prefix_table(q, k)
-
-    monkeypatch.setattr(frame_space, "_prefix_table", spy)
-    seen = set()
-    for ch in BLOCK_CHANNELS:
-        for F, n_strategies in ((3, 20), (4, 3), (5, 40)):
-            sset = _random_set(F, n_strategies, seed=F)
-            used, rep_idx = strategy_table(sset)
-            pmf_s = state_pmf(FrameConfig(F, 0.3))
-            seen.add("fewer used" if len(used) < len(sset) else "more used")
-            total = ch.J**F
-            for width in (1, 7, total):
-                monkeypatch.setattr(capacity, "SLAB_CELLS", width * max(len(sset), len(used)))
-                start, first = 0, None
-                for block in capacity._likelihood_blocks(ch, F, used, len(sset)):
-                    rows, mixed, scratch = block
-                    k = depths[-1]
-                    cols = np.arange(start, start + rows.shape[1])
-                    start += len(cols)
-                    assert len(cols) == min(width, total - cols[0])
-                    seen.add("rows first" if ch.J**k <= len(cols) else "columns first")
-                    # every block is written into the first block's buffers
-                    first = first or block
-                    assert all(np.shares_memory(a, b) for a, b in zip(block, first))
-                    fresh = likelihood_rows(ch, F, used, cols)
-                    assert np.array_equal(rows, fresh), (ch, F, width, start)
-                    want = _plain_mix(fresh, rep_idx, pmf_s)
-                    assert np.array_equal(mix_states(fresh, rep_idx, pmf_s), want)
-                    got = mix_states(rows, rep_idx, pmf_s, out=mixed, scratch=scratch)
-                    assert got is mixed and np.array_equal(got, want), (ch, F, width, start)
-                    h = entropy_bits(got, scratch=scratch)
-                    assert np.array_equal(h, _plain_row_entropies(want))
-                assert start == total
-    assert seen == {"fewer used", "more used", "rows first", "columns first"}
-
-
-def _plain_enumerated_rates(channel, config, sset):
-    """`_enumerated_rates` as a per-block loop that allocates every array afresh."""
+    The path `_output_entropies` replaced, in blocks of the given output
+    columns (all J^F by default): every row of the used symbols, mixed by
+    symbol for H(Y) under the induced law, then by state for P(y | t).
+    """
     F = config.F
     pmf_s, pmf_t = state_pmf(config), sset.pmf
     used, rep_idx = strategy_table(sset)
     p_x = induced_input_pmf(sset, config)[used]
-    total = channel.J**F
-    width = max(1, capacity.SLAB_CELLS // max(len(pmf_t), len(used)))
+    blocks = [np.arange(channel.J**F)] if cols is None else cols
     h_t = np.zeros(len(pmf_t))
     h_y = h_y_by_x = 0.0
-    for start in range(0, total, width):
-        cols = np.arange(start, min(start + width, total))
-        rows = likelihood_rows(channel, F, used, cols)
-        trows = _plain_mix(rows, rep_idx, pmf_s)
-        h_t += _plain_row_entropies(trows)
-        h_y += entropy_bits(pmf_t @ trows)
+    for block in blocks:
+        rows = likelihood_rows(channel, F, used, block)
         h_y_by_x += entropy_bits(p_x @ rows)
+        want = _plain_mix(rows, rep_idx, pmf_s)
+        mixed = mix_states(rows, rep_idx, pmf_s)
+        assert np.array_equal(mixed, want)
+        h = _plain_row_entropies(mixed)
+        # the mask-free entropy_bits against the masked form, on strategy laws
+        assert np.array_equal(entropy_bits(mixed), h)
+        h_t += h
+        h_y += entropy_bits(pmf_t @ mixed)
+    return h_t, h_y, h_y_by_x
+
+
+def test_output_entropies_equal_the_slow_path(monkeypatch):
+    # at the default slab, at one strategy per block (SLAB_CELLS = J^F) and
+    # at one prefix row of y per block (SLAB_CELLS = J^m, m = F // 2), which
+    # splits every strategy's law; F = 1 has m = 0, odd F has k = F - m != m
+    full, shapes, seen = capacity.SLAB_CELLS, _law_blocks(monkeypatch), set()
+    for ch in BLOCK_CHANNELS:
+        for F in range(1, 8):
+            cfg = FrameConfig(F, 0.3)
+            sset = _random_set(F, 20 if F <= 5 else 8, seed=F + 20)
+            want = _slow_entropies(ch, cfg, sset)
+            args = (ch, F, state_pmf(cfg), sset.reps, sset.pmf, induced_input_pmf(sset, cfg))
+            for slab in (full, ch.J**F, ch.J ** (F // 2)):
+                shapes.clear()
+                monkeypatch.setattr(capacity, "SLAB_CELLS", slab)
+                h, h_y, h_y_by_x = capacity._output_entropies(*args)
+                assert np.abs(h - want[0]).max() <= 1e-12, (ch, F, slab)
+                assert abs(h_y - want[1]) <= 1e-12 and abs(h_y_by_x - want[2]) <= 1e-12
+                assert max(n * cells for n, cells in shapes) <= slab
+                if slab < full:
+                    seen.add("one strategy" if shapes[0][0] == 1 else "several")
+                    seen.add("split rows" if shapes[0][1] < ch.J**F else "whole rows")
+    assert seen == {"one strategy", "split rows", "whole rows"}
+
+
+def _plain_enumerated_rates(channel, config, sset):
+    """`_enumerated_rates` as a plain loop over its blocks that allocates every array afresh.
+
+    One matrix product (A[pre_t].T * pmf_s) @ B[suf_t] per strategy, masked
+    row entropies, and the blocks `_output_entropies` takes at SLAB_CELLS.
+    """
+    F, J, m = config.F, channel.J, config.F // 2
+    A = frame_space._prefix_table(channel.matrix(), F - m)
+    B = frame_space._prefix_table(channel.matrix(), m)
+    span = min(J ** (F - m), max(1, capacity.SLAB_CELLS // J**m))
+    step = max(1, capacity.SLAB_CELLS // (span * J**m))
+    pmf_s, pmf_t, reps = state_pmf(config), sset.pmf, sset.reps
+    p_xb = induced_input_pmf(sset, config).reshape(-1, 1 << m) @ B
+    h_t = np.zeros(len(reps))
+    h_y = h_y_by_x = 0.0
+    for lo in range(0, J ** (F - m), span):
+        a = A[:, lo : lo + span]
+        mix = np.zeros(a.shape[1] * J**m)
+        for t0 in range(0, len(reps), step):
+            block = reps[t0 : t0 + step]
+            laws = np.array([((a[x >> m].T * pmf_s) @ B[x % (1 << m)]).ravel() for x in block])
+            h_t[t0 : t0 + step] += _plain_row_entropies(laws)
+            mix += pmf_t[t0 : t0 + step] @ laws
+        h_y += entropy_bits(mix)
+        h_y_by_x += entropy_bits((a.T @ p_xb).ravel())
     noise = capacity._mean_noise_entropy(channel, config)
     h_y_given_t = float(pmf_t @ h_t)
     return h_y - h_y_given_t, h_y_by_x - noise, h_y_given_t - noise
 
 
 def test_enumerated_rates_equal_a_plain_block_loop(monkeypatch):
-    # (F, strategies, SLAB_CELLS): one block, then blocks of 7 columns, then
-    # a set of the benchmark's size in its default blocks
+    # (F, strategies): a few, more than one block's worth at F = 6; each at
+    # the default slab, at blocks of 7 strategies and at 2 prefix rows of y
+    # per block (a partial last block wherever J^(F - m) is odd)
     full = capacity.SLAB_CELLS
-    cases = ((3, 20, full), (3, 20, 7 * 20), (5, 40, full), (5, 40, 7 * 40), (6, 200, full))
     for ch in BLOCK_CHANNELS:
-        for F, n_strategies, slab in cases:
+        for F, n_strategies in ((3, 20), (5, 40), (6, 200)):
             cfg, sset = FrameConfig(F, 0.35), _random_set(F, n_strategies, seed=F + 10)
-            monkeypatch.setattr(capacity, "SLAB_CELLS", slab)
-            got = capacity._enumerated_rates(ch, cfg, sset)
-            assert got == _plain_enumerated_rates(ch, cfg, sset), (ch, F, slab)
+            for slab in (full, 7 * ch.J**F, 2 * ch.J ** (F // 2) + 1):
+                monkeypatch.setattr(capacity, "SLAB_CELLS", slab)
+                got = capacity._enumerated_rates(ch, cfg, sset)
+                assert got == _plain_enumerated_rates(ch, cfg, sset), (ch, F, slab)
+
+
+def _chain(F, rng):
+    """A staircase with its positions permuted: rep_s sets the first s positions of a shuffle."""
+    order = rng.permutation(F)
+    return [sum(1 << (F - 1 - int(f)) for f in order[:s]) for s in range(F + 1)]
+
+
+def test_large_f_general_rates_hold_a_few_slabs_and_match_the_slow_path():
+    # erasure F = 12: each strategy's 3^12 outputs pass one slab, so its law
+    # is taken 179 prefix rows of y at a time; the slow path walks blocks of
+    # SLAB_CELLS // (used symbols) columns
+    ch, cfg = channel_preset("erasure", 0.2), FrameConfig(12, 0.4)
+    rng = np.random.default_rng(12)
+    sset = StrategySet(np.array([_chain(12, rng) for _ in range(13)]), rng.dirichlet(np.ones(13)))
+    assert not capacity._is_staircase_orbit(sset)
+    tracemalloc.start()
+    try:
+        report = mutual_info_TY(ch, cfg, sset)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.method == "enumerated"
+    assert peak < 6 * 8 * capacity.SLAB_CELLS, peak
+    width = capacity.SLAB_CELLS // len(strategy_table(sset)[0])
+    cols = np.array_split(np.arange(3**12), range(width, 3**12, width))
+    h_t, h_y, h_y_by_x = _slow_entropies(ch, cfg, sset, cols)
+    noise = capacity._mean_noise_entropy(ch, cfg)
+    h_y_given_t = float(sset.pmf @ h_t)
+    assert report.i_ty == pytest.approx(h_y - h_y_given_t, abs=1e-12)
+    assert report.i_xy == pytest.approx(h_y_by_x - noise, abs=1e-12)
+    assert report.i_xy_given_t == pytest.approx(h_y_given_t - noise, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["erasure", "bsc", "z"])
 def test_orbit_channel_blocks_agree_with_the_whole_table(kind):
-    # bit for bit where one block holds every output (F <= 5, and bsc and z
-    # at F = 6); several blocks at erasure F = 6 and bsc and z at F = 7 move
-    # the order of each row's sum. Erasure F = 7 would build 150 MB here
+    # one table of every map orbit's mixed rows, through the slow path;
+    # erasure F = 7 would build 150 MB here
     ch = channel_preset(kind, 0.2)
     for F in range(1, 8 if ch.J == 2 else 7):
         cfg = FrameConfig(F, 0.4)
@@ -853,10 +912,7 @@ def test_orbit_channel_blocks_agree_with_the_whole_table(kind):
         want = _plain_row_entropies(_plain_mix(rows, reps, state_pmf(cfg)))
         sizes, h = capacity.orbit_channel(ch, cfg)
         assert sizes is orbit_sizes
-        if capacity.SLAB_CELLS // max(len(reps), 1 << F) >= ch.J**F:
-            assert np.array_equal(h, want), F
-        else:
-            assert F >= 6 and np.abs(h - want).max() <= 1e-12, F
+        assert np.abs(h - want).max() <= 1e-12, F
 
 
 def test_oracle_stays_within_a_few_slabs_of_memory():

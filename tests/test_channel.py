@@ -16,14 +16,27 @@ def test_entropy_bits_basics():
     assert abs(entropy_bits([1 / 8] * 8) - 3.0) < 1e-12
 
 
-def test_entropy_bits_rows_in_scratch_match_fresh_rows():
-    # whatever scratch holds beforehand, zero cells add 0 log 0 = 0
-    p = np.array([[0.5, 0.0, 0.25, 0.25], [0.0, 1.0, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4]])
-    want = entropy_bits(p)
-    assert want.tolist() == [1.5, 0.0, entropy_bits(p[2])]
-    for junk in (np.nan, np.inf, -1.0):
-        scratch = np.full_like(p, junk)
-        assert np.array_equal(entropy_bits(p, scratch=scratch), want), junk
+def test_mask_free_row_entropies_equal_the_masked_form():
+    # rows with zeros, a one, subnormals and a single nonzero cell, then wide
+    # rows whose sums run through numpy's unrolled pairwise loop
+    p = np.array([
+        [0.5, 0.0, 0.25, 0.25],
+        [0.0, 1.0, 0.0, 0.0],
+        [0.1, 0.2, 0.3, 0.4],
+        [5e-324, 1e-310, 0.0, 1.0 - 1e-310],
+        [0.0, 0.0, 0.0, 0.7],
+        [1.0, 1.0, 5e-324, 0.0],
+    ])
+    rng = np.random.default_rng(3)
+    wide = rng.dirichlet(np.ones(40), size=5) * (rng.random((5, 40)) < 0.6)
+    wide[0, :] = 0.0
+    wide[0, 17] = 1.0
+    for rows in (p, wide):
+        logs = np.zeros_like(rows)
+        np.log2(rows, out=logs, where=rows > 0)
+        masked = -(rows * logs).sum(axis=1)
+        assert entropy_bits(rows).tobytes() == masked.tobytes()
+    assert entropy_bits(p)[:3].tolist() == [1.5, 0.0, entropy_bits(p[2])]
 
 
 def test_binary_entropy_values():
