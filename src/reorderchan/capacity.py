@@ -19,10 +19,10 @@ from .frame_space import (
     enumerate_weight_class,
     likelihood_rows,
     mix_states,
-    output_digits,
     state_pmf,
+    weight_table,
 )
-from .strategy import induced_input_pmf
+from .strategy import induced_input_pmf, lcm_binomials
 
 DECOMPOSITION_TOL = 1e-9
 BA_TOL = 1e-10
@@ -33,9 +33,6 @@ MAX_TABLE_BYTES = 1 << 31  # the 2 GiB that also bounds strategy sets and Monte 
 # and 7, every preset). The oracle now walks it in slab blocks and peaks under 5 MB through
 # F = 7, but a smaller figure would admit F = 8 and the partition of its 423,076 orbits
 TABLE_CELL_BYTES = 24
-# output columns per block of `_orbit_rates`, the only reader: the block
-# boundaries fix the float sum order behind the printed `capacity` bytes
-BLOCK_COLS = 8192
 SLAB_CELLS = 1 << 17  # float64 cells in one strategies x outputs slab: 1 MiB
 
 
@@ -108,50 +105,23 @@ def _is_staircase_orbit(sset):
     return bool(np.all(np.bincount(reps.ravel())[reps] * sizes == len(reps)))
 
 
-def _type_ranks(F, J, cols):
-    """Index of each output's letter-count composition among the C(F+J-1, J-1).
-
-    Stars and bars: bar k of the composition (n_0, ..., n_{J-1}) sits at
-    n_0 + ... + n_{k-1} + k - 1, and the combinatorial number system ranks
-    the J-1 bar positions.
-    """
-    digits = output_digits(F, J, cols)
-    ranks = np.zeros(len(cols), dtype=np.int64)
-    for k in range(1, J):
-        binom = np.array([comb(n, k) for n in range(F + J - 1)], dtype=np.int64)
-        ranks += binom[(digits < k).sum(axis=1) + k - 1]
-    return ranks
-
-
 def _orbit_rates(channel, config):
     """(i_ty, i_xy, i_xy_given_t) of a staircase-orbit set from its F+1 staircase rows.
 
     Every strategy is a position permutation of the staircase, so H(Y|T=t)
-    is the staircase output entropy for every t. The induced law is i.i.d.
-    Bernoulli(a), so H(Y) has the closed form F H(u); it is also rebuilt
-    from the staircase law, since S_F acts transitively on each output
-    composition and P(y) is the mean of P_stair over y's composition. The
+    is the staircase output entropy for every t. The induced input law is
+    i.i.d. Bernoulli(a), P(x) = pmf_s[w(x)] / C(F, w(x)): `_output_entropies`
+    pushes it through the prefix x suffix split and takes H(Y) over all J^F
+    outputs, while I(X;Y) is the closed form F H(u), the outer bound. The
     split check compares those two values of H(Y).
     """
-    F, J = config.F, channel.J
+    F = config.F
     pmf_s = state_pmf(config)
-    stair = [(1 << s) - 1 for s in range(F + 1)]
-    n_types = comb(F + J - 1, J - 1)
-    type_mass = np.zeros(n_types)
-    type_size = np.zeros(n_types, dtype=np.int64)
-    h_stair = 0.0
-    total_cols = J**F
-    for start in range(0, total_cols, BLOCK_COLS):
-        cols = np.arange(start, min(start + BLOCK_COLS, total_cols), dtype=np.int64)
-        p_stair = pmf_s @ likelihood_rows(channel, F, stair, cols)
-        h_stair += entropy_bits(p_stair)
-        ranks = _type_ranks(F, J, cols)
-        type_mass += np.bincount(ranks, weights=p_stair, minlength=n_types)
-        type_size += np.bincount(ranks, minlength=n_types)
-    hit = type_mass > 0
-    h_types = -float(np.sum(type_mass[hit] * np.log2(type_mass[hit] / type_size[hit])))
-    noise = _mean_noise_entropy(channel, config)
-    return h_types - h_stair, outer_bound(channel, config), h_stair - noise
+    p_x = (pmf_s / [comb(F, s) for s in range(F + 1)])[weight_table(F)]
+    stair = np.array([[(1 << s) - 1 for s in range(F + 1)]])
+    h, _, h_y = _output_entropies(channel, F, pmf_s, stair, p_x=p_x)
+    h_stair, noise = float(h[0]), _mean_noise_entropy(channel, config)
+    return h_y - h_stair, outer_bound(channel, config), h_stair - noise
 
 
 def _output_entropies(channel, F, pmf_s, reps, pmf_t=None, p_x=None):
@@ -165,8 +135,15 @@ def _output_entropies(channel, F, pmf_s, reps, pmf_t=None, p_x=None):
     h_y_by_x is the entropy of A.T @ P_x @ B, P_x the 2^(F-m) x 2^m reshape of
     the input law p_x; each is None without its law. Blocks run over strategies,
     and over prefix rows of y once one law passes SLAB_CELLS: no block of laws does.
+    A, B and the 2^(F-m) x J^m product P_x @ B are refused, before any is built, when
+    they would pass MAX_TABLE_BYTES.
     """
-    m = F // 2
+    m, J = F // 2, channel.J
+    cells = (2 * J) ** (F - m) + (2 * J) ** m
+    if p_x is not None:
+        cells += 2 ** (F - m) * J**m
+    if 8 * cells > MAX_TABLE_BYTES:
+        raise ValueError(f"split tables need {cells} cells at 8 bytes, over {MAX_TABLE_BYTES}")
     q = channel.matrix()
     A, B = _prefix_table(q, F - m), _prefix_table(q, m)
     n_pre, width = A.shape[1], B.shape[1]
@@ -207,8 +184,11 @@ def _enumerated_rates(channel, config, sset):
     return h_y - h_y_given_t, h_y_by_x - noise, h_y_given_t - noise
 
 
-def _checked_report(channel, config, method, rates):
-    """Report (i_ty, i_xy, i_xy_given_t) once the split I(T;Y) = I(X;Y) - I(X;Y|T) closes."""
+def _checked_report(channel, config, method, rates, h_t):
+    """Report (i_ty, i_xy, i_xy_given_t) once the split I(T;Y) = I(X;Y) - I(X;Y|T) closes.
+
+    h_t is H(T), the entropy of the strategy law, which also caps I(T;Y).
+    """
     i_ty, i_xy, i_xy_given_t = rates
     # each test is written so that a NaN rate fails it
     if not abs(i_ty - (i_xy - i_xy_given_t)) <= DECOMPOSITION_TOL:
@@ -220,9 +200,13 @@ def _checked_report(channel, config, method, rates):
     # T -> X -> Y, so neither part of the split passes I(X;Y)
     if not (i_ty <= i_xy + DECOMPOSITION_TOL and i_xy_given_t <= i_xy + DECOMPOSITION_TOL):
         raise RuntimeError(f"I(T;Y) = {i_ty!r} or I(X;Y|T) = {i_xy_given_t!r} exceeds I(X;Y)")
-    # clip both into [0, max(I(X;Y), 0)] after the checks, -0.0 too, which max(-0.0, 0.0) keeps
+    if not i_ty <= h_t + DECOMPOSITION_TOL:
+        raise RuntimeError(f"I(T;Y) = {i_ty!r} exceeds H(T) = {h_t!r}")
+    # clip both into [0, max(I(X;Y), 0)] after the checks, -0.0 too, which max(-0.0, 0.0) keeps;
+    # I(T;Y) also under H(T), so one strategy (H(T) = 0) carries exactly 0
     top = i_xy if i_xy > 0.0 else 0.0
-    i_ty, i_xy_given_t = (min(v, top) if v > 0.0 else 0.0 for v in (i_ty, i_xy_given_t))
+    i_ty = min(i_ty, top, h_t) if i_ty > 0.0 else 0.0
+    i_xy_given_t = min(i_xy_given_t, top) if i_xy_given_t > 0.0 else 0.0
     outer = outer_bound(channel, config)
     return CapacityReport(i_ty, i_xy, i_xy_given_t, c_xy=outer, outer_bound=outer, method=method)
 
@@ -230,9 +214,11 @@ def _checked_report(channel, config, method, rates):
 def secondary_capacity(channel, config):
     """Checked report of the constructed set, an S_F orbit of the staircase, which is never built.
 
-    Its rates are those of the F+1 staircase rows; method "constructed".
+    Its rates are those of the F+1 staircase rows; method "constructed". Its
+    L strategies are equally likely, so H(T) = log2 L.
     """
-    return _checked_report(channel, config, "constructed", _orbit_rates(channel, config))
+    rates = _orbit_rates(channel, config)
+    return _checked_report(channel, config, "constructed", rates, log2(lcm_binomials(config.F)))
 
 
 def mutual_info_TY(channel, config, sset):
@@ -246,7 +232,8 @@ def mutual_info_TY(channel, config, sset):
         raise ValueError("strategy set and frame config disagree on F")
     if _is_staircase_orbit(sset):
         return secondary_capacity(channel, config)
-    return _checked_report(channel, config, "enumerated", _enumerated_rates(channel, config, sset))
+    rates = _enumerated_rates(channel, config, sset)
+    return _checked_report(channel, config, "enumerated", rates, entropy_bits(sset.pmf))
 
 
 def errorless_capacity(config):

@@ -177,7 +177,9 @@ def test_acceptance_6():
     prev = -1.0
     for F in range(1, 11):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(capacity, "MAX_TABLE_BYTES", 0)
+            # a byte short of the oracle's 2^F x 3^F likelihood rows alone; the constructed
+            # rate's split tables, at most 3 x 6^(F - F // 2) cells of 8 bytes, still fit
+            mp.setattr(capacity, "MAX_TABLE_BYTES", 6**F * capacity.TABLE_CELL_BYTES - 1)
             row = sweep_point("erasure", 0.2, 0.5, F)
         assert row.c_oracle is None
         assert 0.0 <= row.c_constructed <= row.c_xy + 1e-9

@@ -347,10 +347,12 @@ def test_every_map_sends_the_output_composition_to_the_product_law(kind):
         u = (1.0 - a) * np.asarray(ch.q0) + a * np.asarray(ch.q1)
         for F in range(1, 6):
             W = equivalent_channel_matrix(ch, FrameConfig(F, a))
-            ranks = capacity._type_ranks(F, J, np.arange(J**F))
             digits = np.array([[(y // J ** (F - 1 - f)) % J for f in range(F)] for y in range(J**F)])
-            multinomial = np.bincount(ranks, weights=np.prod(u[digits], axis=1))
-            lumped = np.stack([np.bincount(ranks, weights=row) for row in W])
+            # outputs grouped by their letter counts
+            counts = np.array([np.bincount(row, minlength=J) for row in digits])
+            types = np.unique(counts, axis=0, return_inverse=True)[1].ravel()
+            multinomial = np.bincount(types, weights=np.prod(u[digits], axis=1))
+            lumped = np.stack([np.bincount(types, weights=row) for row in W])
             assert np.abs(lumped - multinomial).max() < 1e-14, (a, F)
 
 
@@ -477,7 +479,8 @@ def test_sweep_point_fields():
 
 
 def test_sweep_point_oracle_skipped_over_limit(monkeypatch):
-    monkeypatch.setattr(capacity, "MAX_TABLE_BYTES", 0)
+    # the constructed rate's split tables take 432 bytes at erasure F = 3, the oracle's 7 128
+    monkeypatch.setattr(capacity, "MAX_TABLE_BYTES", 1 << 10)
     row = sweep_point("erasure", 0.2, 0.5, 3)
     assert row.c_oracle is None
     assert row.c_constructed > 0
@@ -532,18 +535,6 @@ def test_orbit_path_matches_enumeration_four_letters():
     for F in range(1, 7):
         sset = decompose_paths(build_weighted_graph(F))
         _assert_orbit_matches_enumeration(FOUR_LETTERS, FrameConfig(F, 0.35), sset)
-
-
-def test_type_ranks_index_compositions():
-    F, J = 5, 4
-    cols = np.arange(J**F)
-    ranks = capacity._type_ranks(F, J, cols)
-    digits = np.array([[(y // J ** (F - 1 - f)) % J for f in range(F)] for y in cols])
-    compositions = {}
-    for r, row in zip(ranks, digits):
-        compositions.setdefault(int(r), set()).add(tuple(np.bincount(row, minlength=J)))
-    assert sorted(compositions) == list(range(comb(F + J - 1, J - 1)))
-    assert all(len(c) == 1 for c in compositions.values())
 
 
 def _swap_state(sset, t1, t2, s):
@@ -616,9 +607,49 @@ def test_constructed_closed_forms_at_f20():
     assert report.i_ty == pytest.approx(0.0, abs=1e-9)
 
 
+def test_constructed_closed_forms_at_erasure_f16():
+    # 3^16 outputs: a noiseless erasure channel reads the whole state, a p = 1 one nothing
+    cfg = FrameConfig(16, 0.3)
+    report = secondary_capacity(channel_preset("erasure", 0.0), cfg)
+    assert report.i_ty == pytest.approx(errorless_capacity(cfg), abs=1e-9)
+    report = secondary_capacity(channel_preset("erasure", 1.0), cfg)
+    assert report.i_ty == pytest.approx(0.0, abs=1e-9)
+
+
+def test_one_strategy_carries_exactly_zero():
+    # F = 1 has L = 1, so H(T) = 0 and I(T;Y) is 0 at every point, not a rounding residue
+    for kind in ("erasure", "bsc", "z"):
+        for p in (k / 20 for k in range(21)):
+            for a in (k / 10 for k in range(11)):
+                report = secondary_capacity(channel_preset(kind, p), FrameConfig(1, a))
+                assert report.i_ty == 0.0, (kind, p, a)
+
+
+def test_split_tables_are_refused_in_bytes_before_they_are_built(monkeypatch):
+    # the staircase and its mirror on a four-letter channel at F = 20: A, B and P_x @ B hold
+    # 2^30 cells each, about 26 GB; the 2^20 input law the set induces takes 8 MiB of the peak
+    stair = [(1 << s) - 1 for s in range(21)]
+    sset = StrategySet(np.array([stair, [x << (20 - s) for s, x in enumerate(stair)]]), (0.5, 0.5))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="split tables need 3221225472 cells"):
+            mutual_info_TY(FOUR_LETTERS, FrameConfig(20, 0.5), sset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    # the constructed rate at erasure F = 3 needs 6^2 + 6 + 2^2 x 3 = 54 cells of 8 bytes
+    ch, cfg = channel_preset("erasure", 0.2), FrameConfig(3, 0.5)
+    monkeypatch.setattr(capacity, "MAX_TABLE_BYTES", 8 * 54 - 1)
+    with pytest.raises(ValueError, match="split tables need 54 cells"):
+        secondary_capacity(ch, cfg)
+    monkeypatch.setattr(capacity, "MAX_TABLE_BYTES", 8 * 54)
+    assert secondary_capacity(ch, cfg).method == "constructed"
+
+
 def test_orbit_split_check_is_live(monkeypatch):
-    # the orbit path takes I(X;Y) from the one-slot closed form and H(Y) from
-    # the type average; a nudged closed form must break the split check
+    # the orbit path takes I(X;Y) from the one-slot closed form and H(Y) from the
+    # i.i.d. input law enumerated over the outputs; a nudged closed form must break the split check
     ch, cfg = channel_preset("erasure", 0.2), FrameConfig(5, 0.4)
     sset = decompose_paths(build_weighted_graph(5))
     mutual_info_TY(ch, cfg, sset)
@@ -641,11 +672,12 @@ NAN = float("nan")
         ((1.1, 1.0, -0.1), "outside"),
         ((-3.0, 2.0, 5.0), "outside"),
         ((-1.0, 1.0, 2.0), "exceeds"),
+        ((4.0, 5.0, 1.0), "exceeds H"),
     ],
 )
 def test_report_refuses_rates_that_break_a_check(monkeypatch, rates, message):
     # the split must close, 0 <= I(X;Y|T) <= H(S), about 2.03 bits at F = 4, a = 0.5,
-    # and neither I(T;Y) nor I(X;Y|T) may pass I(X;Y)
+    # neither I(T;Y) nor I(X;Y|T) may pass I(X;Y), and I(T;Y) may not pass H(T) = log2 12
     ch, cfg = channel_preset("bsc", 0.1), FrameConfig(4, 0.5)
     assert entropy_bits(capacity.state_pmf(cfg)) < 5.0
     monkeypatch.setattr(capacity, "_orbit_rates", lambda channel, config: rates)
@@ -728,7 +760,8 @@ def test_general_rates_do_not_depend_on_block_width(monkeypatch):
         assert sum(n * cells for n, cells in shapes) == 50 * 729
         assert max(n * cells for n, cells in shapes) <= slab
         plain = _plain_enumerated_rates(ch, cfg, sset)
-        assert blocked == capacity._checked_report(ch, cfg, "enumerated", plain), slab
+        h_t = entropy_bits(sset.pmf)
+        assert blocked == capacity._checked_report(ch, cfg, "enumerated", plain, h_t), slab
         for name in ("i_ty", "i_xy", "i_xy_given_t"):
             assert getattr(blocked, name) == pytest.approx(getattr(whole, name), abs=1e-12), name
 

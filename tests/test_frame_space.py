@@ -187,7 +187,7 @@ def test_likelihood_rows_equal_the_gathered_factor_product(monkeypatch):
                     seen.add("0" if k == 0 else "F" if k == F else "between")
                     assert np.array_equal(got, _folded_rows(ch, F, xs, cols)), (F, xs, cols)
         assert seen == {"0", "between", "F"}
-    # the staircase rows x one column block of `_orbit_rates`
+    # the F + 1 staircase rows at F = 12, past the grid's F = 9, over 8192 columns at two offsets
     blocks = ((channel_preset("bsc", 0.1), 0), (channel_preset("erasure", 0.1), 8192))
     for ch, start in blocks:
         F = 12
