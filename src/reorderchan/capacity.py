@@ -12,13 +12,14 @@ from math import comb, factorial, log2, prod
 
 import numpy as np
 
+from . import frame_space
 from .channel import binary_entropy, channel_preset, entropy_bits, row_entropy
 from .frame_space import (
     FrameConfig,
-    _prefix_table,
     enumerate_weight_class,
     likelihood_rows,
     mix_states,
+    split_tables,
     state_pmf,
     weight_table,
 )
@@ -27,7 +28,6 @@ from .strategy import induced_input_pmf, lcm_binomials
 DECOMPOSITION_TOL = 1e-9
 BA_TOL = 1e-10
 BA_MAX_ITER = 100_000
-MAX_TABLE_BYTES = 1 << 31  # the 2 GiB that also bounds strategy sets and Monte Carlo frames
 # bytes per cell of the (2^F + orbits) x J^F table that `oracle_solve` is refused on: a
 # conservative figure, the tracemalloc peak per cell when that table was built whole (F = 6
 # and 7, every preset). The oracle now walks it in slab blocks and peaks under 5 MB through
@@ -127,25 +127,15 @@ def _orbit_rates(channel, config):
 def _output_entropies(channel, F, pmf_s, reps, pmf_t=None, p_x=None):
     """(h, h_y_by_t, h_y_by_x): H(Y | T=t) for each strategy row of reps, and two H(Y).
 
-    The channel is the same at every position, so with m = F // 2 and the
-    prefix tables A of the first F - m positions and B of the last m,
-    P(y | x) = A[x >> m, y // J^m] * B[x mod 2^m, y mod J^m]. Strategy t's
-    law sum_s pmf_s[s] P(y | reps[t, s]), as a J^(F-m) x J^m matrix, is then
-    (A[pre_t].T * pmf_s) @ B[suf_t]. h_y_by_t mixes those laws by pmf_t;
-    h_y_by_x is the entropy of A.T @ P_x @ B, P_x the 2^(F-m) x 2^m reshape of
-    the input law p_x; each is None without its law. Blocks run over strategies,
-    and over prefix rows of y once one law passes SLAB_CELLS: no block of laws does.
-    A, B and the 2^(F-m) x J^m product P_x @ B are refused, before any is built, when
-    they would pass MAX_TABLE_BYTES.
+    With `split_tables`' m, A and B, P(y | x) = A[x >> m, y // J^m] * B[x mod 2^m, y mod J^m],
+    so strategy t's law sum_s pmf_s[s] P(y | reps[t, s]), as a J^(F-m) x J^m
+    matrix, is (A[pre_t].T * pmf_s) @ B[suf_t]. h_y_by_t mixes those laws by
+    pmf_t; h_y_by_x is the entropy of A.T @ P_x @ B, P_x the 2^(F-m) x 2^m
+    reshape of the input law p_x, whose product P_x @ B the tables' byte rule
+    counts; each is None without its law. Blocks run over strategies, and over
+    prefix rows of y once one law passes SLAB_CELLS: no block of laws does.
     """
-    m, J = F // 2, channel.J
-    cells = (2 * J) ** (F - m) + (2 * J) ** m
-    if p_x is not None:
-        cells += 2 ** (F - m) * J**m
-    if 8 * cells > MAX_TABLE_BYTES:
-        raise ValueError(f"split tables need {cells} cells at 8 bytes, over {MAX_TABLE_BYTES}")
-    q = channel.matrix()
-    A, B = _prefix_table(q, F - m), _prefix_table(q, m)
+    m, A, B = split_tables(channel, F, pushed_law=p_x is not None)
     n_pre, width = A.shape[1], B.shape[1]
     span = min(n_pre, max(1, SLAB_CELLS // width))  # prefix rows of y per block
     step = max(1, SLAB_CELLS // (span * width))  # rows of reps per block
@@ -157,12 +147,18 @@ def _output_entropies(channel, F, pmf_s, reps, pmf_t=None, p_x=None):
     for lo in range(0, n_pre, span):
         a = A[:, lo : lo + span]
         mix = 0.0
+        # one buffer holds every block of laws, freed before the mixture's entropy; a fresh
+        # array per block, freed before the next product, doubled the time at erasure F = 8
+        block = np.empty((min(step, len(reps)), a.shape[1], width))
         for t in range(0, len(reps), step):
-            laws = np.matmul(a[pre[t : t + step]].transpose(0, 2, 1) * pmf_s, B[suf[t : t + step]])
+            x = slice(t, t + step)
+            laws = block[: len(pre[x])]
+            np.matmul(a[pre[x]].transpose(0, 2, 1) * pmf_s, B[suf[x]], out=laws)
             laws = laws.reshape(len(laws), -1)
-            h[t : t + step] += entropy_bits(laws)
+            h[x] += entropy_bits(laws)
             if pmf_t is not None:
-                mix += pmf_t[t : t + step] @ laws
+                mix += pmf_t[x] @ laws
+        del block, laws
         if pmf_t is not None:
             h_y_by_t += entropy_bits(mix)
         if p_x is not None:
@@ -272,10 +268,10 @@ class OracleTooLarge(ValueError):
 def _check_table_bytes(F, J, strategies, what):
     """Refuse, before anything is built, a table of 2^F likelihood rows plus `strategies` rows."""
     rows, cols = (1 << F) + strategies, J**F
-    if rows * cols * TABLE_CELL_BYTES > MAX_TABLE_BYTES:
+    limit = frame_space.MAX_TABLE_BYTES
+    if rows * cols * TABLE_CELL_BYTES > limit:
         raise OracleTooLarge(
-            f"{what} needs {rows} x {cols} cells at {TABLE_CELL_BYTES} bytes, "
-            f"over {MAX_TABLE_BYTES} bytes"
+            f"{what} needs {rows} x {cols} cells at {TABLE_CELL_BYTES} bytes, over {limit} bytes"
         )
 
 

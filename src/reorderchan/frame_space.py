@@ -14,6 +14,7 @@ from math import comb
 import numpy as np
 
 MAX_FRAME_LEN = 20
+MAX_TABLE_BYTES = 1 << 31  # the 2 GiB that also bounds strategy sets and Monte Carlo frames
 
 
 def check_frame_len(F):
@@ -84,15 +85,6 @@ def enumerate_weight_class(F, s):
     return np.flatnonzero(weight_table(F) == s).tolist()
 
 
-def output_digits(F, J, cols):
-    """Base-J digits of the given output indices, leftmost digit first."""
-    cols = np.asarray(cols, dtype=np.int64)
-    digits = np.empty((len(cols), F), dtype=np.int64)
-    for f in range(F):
-        digits[:, f] = (cols // J ** (F - 1 - f)) % J
-    return digits
-
-
 def _prefix_table(q, k):
     """The 2^k x J^k table of P(first k letters | first k bits), from q = (2, J) rows.
 
@@ -114,44 +106,44 @@ def _prefix_table(q, k):
     return table
 
 
+def split_tables(channel, F, pushed_law=False):
+    """(m, A, B): prefix tables of the first F - m and the last m positions, m = F // 2.
+
+    The channel is the same at every position, so
+    P(y | x) = A[x >> m, y // J^m] * B[x mod 2^m, y mod J^m]. A holds
+    (2J)^(F - m) cells and B (2J)^m, whatever rows and columns are read from
+    them. With pushed_law, the rule also counts the 2^(F - m) x J^m table of
+    an input law pushed through B, which the caller builds. The cells are
+    refused at 8 bytes a cell, before any table is built, when they would
+    pass MAX_TABLE_BYTES.
+    """
+    m, J = F // 2, channel.J
+    cells = (2 * J) ** (F - m) + (2 * J) ** m + (2 ** (F - m) * J**m if pushed_law else 0)
+    if 8 * cells > MAX_TABLE_BYTES:
+        raise ValueError(f"split tables need {cells} cells at 8 bytes, over {MAX_TABLE_BYTES}")
+    q = channel.matrix()
+    return m, _prefix_table(q, F - m), _prefix_table(q, m)
+
+
 def likelihood_rows(channel, F, xs, cols=None):
     """Rows P(y | x) for each symbol in xs over the given output columns.
 
     cols defaults to the whole output space; pass an index array to keep
-    memory bounded when J**F is large.
-
-    P(y | x) is the product over positions of q_{x_f}(y_f). The first k
-    factors come from a prefix table shared by every cell with the same
-    first k bits and letters, k as deep as a 2^k x J^k table stays within the
-    len(xs) x len(cols) slab. Positions k..F-1 are multiplied in one at a
-    time. Each entry is still ((1.0 * a_0) * a_1) * ... * a_{F-1} in position
-    order, so the bits match a fold over all F positions.
+    memory bounded when J**F is large. Each entry is the product of its two
+    `split_tables` cells: the columns of A and B are gathered first, then
+    A's rows into the result, which B's rows multiply in place, 2^m rows at
+    a time, so besides the result only 2^(F-m) + 2 * 2^m rows of columns are
+    held. The bits are those of (fold of the first F - m factors) * (fold of
+    the last m), each fold ((1.0 * a_0) * a_1) * ... in position order.
     """
-    J = channel.J
-    q = channel.matrix()
+    m, A, B = split_tables(channel, F)
     xs = np.asarray(xs, dtype=np.int64)
-    whole = cols is None
-    cols = np.arange(J**F, dtype=np.int64) if whole else np.asarray(cols, dtype=np.int64)
-    k = 0
-    while k < F and (2 * J) ** (k + 1) <= len(xs) * len(cols):
-        k += 1
-    table = _prefix_table(q, k)
-    row_idx, col_idx = xs >> (F - k), cols // J ** (F - k)
-    # (2J)^k <= len(xs) len(cols) means 2^k <= len(xs) or J^k <= len(cols), so
-    # taking first along the axis that does not grow keeps the step within the slab
-    if J**k <= len(cols):
-        if whole and k == F:
-            rows = np.take(table, row_idx, axis=0)
-        else:
-            rows = np.take(np.take(table, row_idx, axis=0), col_idx, axis=1)
-    else:
-        rows = np.take(np.take(table, col_idx, axis=1), row_idx, axis=0)
-    digits = output_digits(F - k, J, cols)
-    bits = output_digits(F - k, 2, xs)
-    for f in range(F - k):
-        d = digits[:, f]
-        for b in range(2):
-            np.multiply(rows, q[b][d], out=rows, where=bits[:, f, None] == b)
+    cols = np.arange(channel.J**F) if cols is None else cols
+    pre_y, suf_y = np.divmod(np.asarray(cols, dtype=np.int64), channel.J**m)
+    rows = np.take(A, pre_y, axis=1).take(xs >> m, axis=0)
+    b, suf_x = np.take(B, suf_y, axis=1), xs & ((1 << m) - 1)
+    for lo in range(0, len(xs), len(b)):
+        rows[lo : lo + len(b)] *= b.take(suf_x[lo : lo + len(b)], axis=0)
     return rows
 
 

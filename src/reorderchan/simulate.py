@@ -16,7 +16,6 @@ from .capacity import SLAB_CELLS, mutual_info_TY
 from .frame_space import (
     likelihood_rows,
     mix_states,
-    output_digits,
     output_string,
     state_pmf,
     symbol_string,
@@ -42,6 +41,8 @@ NOISE_CHUNK = 1 << 16
 GUIDE_BUCKETS = 1 << 12
 # trace rows formatted per writelines call, which bounds the writer's strings
 TRACE_CHUNK = 1 << 16
+# posteriors within this relative distance of an output's top count as tied with it
+TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ def _noisy_outputs(rng, channel, F, used, xi):
     """
     J = channel.J
     cum = np.cumsum(channel.matrix(), axis=1)
-    bit_table = output_digits(F, 2, used)
+    bit_table = (used[:, None] >> np.arange(F - 1, -1, -1)) & 1  # leftmost position first
     # thresholds per sent symbol and position, so a block gathers whole rows
     thresholds = [cum[:, j][bit_table] for j in range(J - 1)]
     # letters @ place is the output's value in float64, exact as J**F <= 3**20 < 2**53
@@ -120,11 +121,13 @@ def _rank_outputs(y, n_outputs):
 
 
 def _decode_observed(sset, channel, config, pmf_s, used, rep_idx, uniq_y):
-    """MAP strategy index for each observed output, smallest index on ties.
+    """MAP strategy index for each observed output: the smallest index within TIE_RTOL of the top.
 
-    used and rep_idx are the set's `strategy_table`. Outputs are decoded in
-    blocks of SLAB_CELLS // (number of strategies) columns, so no posterior
-    slab passes SLAB_CELLS cells.
+    The relative TIE_RTOL lets strategies whose posteriors are equal in exact
+    arithmetic tie however the float sums round. used and rep_idx are the
+    set's `strategy_table`. Outputs are decoded in blocks of SLAB_CELLS //
+    (number of strategies) columns, one `likelihood_rows` call each, so no
+    posterior slab passes SLAB_CELLS cells.
     """
     pmf_t = sset.pmf[:, None]
     width = max(1, SLAB_CELLS // len(pmf_t))
@@ -133,10 +136,11 @@ def _decode_observed(sset, channel, config, pmf_s, used, rep_idx, uniq_y):
         rows = likelihood_rows(channel, config.F, used, uniq_y[lo : lo + width])
         posterior = mix_states(rows, rep_idx, pmf_s)
         posterior *= pmf_t
-        best = posterior.argmax(axis=0)  # the first maximum: ties go to the smallest index
-        if not np.all(posterior[best, np.arange(len(best))] > 0):
+        top = posterior.max(axis=0)
+        if not np.all(top > 0):
             raise ValueError("received output has zero probability under every strategy")
-        t_hat[lo : lo + width] = best
+        # argmax of a boolean column is its first True
+        t_hat[lo : lo + width] = np.argmax(posterior >= top * (1.0 - TIE_RTOL), axis=0)
     return t_hat
 
 

@@ -9,6 +9,7 @@ sampler at the very end works in plain numpy on channel rows given as lists.
 """
 
 from bisect import bisect_right
+from fractions import Fraction
 from itertools import accumulate, permutations, product
 from math import comb, log2
 
@@ -183,18 +184,21 @@ def is_minimal(reps):
     )
 
 
-def frame_likelihood(channel, F, x, y):
-    """P(y | x) for one frame: product of per-packet transition probabilities."""
+def frame_likelihood(channel, F, x, y, number=float):
+    """P(y | x) for one frame: product of per-packet transition probabilities.
+
+    number converts each factor; Fraction makes the product exact.
+    """
     J = len(channel.q0)
     if not 0 <= x < (1 << F):
         raise ValueError("frame symbol out of range for this frame length")
     if not 0 <= y < J**F:
         raise ValueError("output symbol out of range for this frame length")
-    prob = 1.0
+    prob = number(1)
     for f in range(F):
         bit = (x >> (F - 1 - f)) & 1
         letter = (y // J ** (F - 1 - f)) % J
-        prob *= channel.q1[letter] if bit else channel.q0[letter]
+        prob *= number(channel.q1[letter] if bit else channel.q0[letter])
     return prob
 
 
@@ -211,16 +215,26 @@ def transmit(channel, F, x, rng):
 
 
 def map_decode(sset, channel, config, y):
-    """Most probable strategy for one received output; ties go to the smallest index."""
-    probs = state_probs(config.F, config.a)
+    """Most probable strategy for one received output; ties go to the smallest index.
+
+    Posteriors are exact: every float that enters them (the channel entries,
+    the state probabilities as `state_probs` computes them and the strategy
+    law) becomes a Fraction, so two strategies tie only when their
+    posteriors are equal as rationals.
+    """
+    F = config.F
+    probs = [Fraction(pr) for pr in state_probs(F, config.a)]
+    likes = {}
     best_t = -1
-    best = 0.0
+    best = Fraction(0)
     for t, m in enumerate(sset.multisymbols):
-        like = sum(
-            probs[s] * frame_likelihood(channel, config.F, m.reps[s], y)
-            for s in range(config.F + 1)
-        )
-        posterior = sset.pmf[t] * like
+        like = Fraction(0)
+        for s in range(F + 1):
+            x = m.reps[s]
+            if x not in likes:
+                likes[x] = frame_likelihood(channel, F, x, y, Fraction)
+            like += probs[s] * likes[x]
+        posterior = Fraction(float(sset.pmf[t])) * like
         if posterior > best:
             best = posterior
             best_t = t

@@ -34,7 +34,7 @@ from reorderchan import (
     z_fixed_input_capacity,
     z_point_capacity,
 )
-from reorderchan import capacity
+from reorderchan import capacity, frame_space
 from reorderchan.capacity import _all_maps, oracle_solve
 
 PRESETS = ("erasure", "bsc", "z")
@@ -179,7 +179,7 @@ def test_acceptance_6():
         with pytest.MonkeyPatch.context() as mp:
             # a byte short of the oracle's 2^F x 3^F likelihood rows alone; the constructed
             # rate's split tables, at most 3 x 6^(F - F // 2) cells of 8 bytes, still fit
-            mp.setattr(capacity, "MAX_TABLE_BYTES", 6**F * capacity.TABLE_CELL_BYTES - 1)
+            mp.setattr(frame_space, "MAX_TABLE_BYTES", 6**F * capacity.TABLE_CELL_BYTES - 1)
             row = sweep_point("erasure", 0.2, 0.5, F)
         assert row.c_oracle is None
         assert 0.0 <= row.c_constructed <= row.c_xy + 1e-9

@@ -247,10 +247,10 @@ def test_equivalent_channel_matrix_shape_f4():
 def test_equivalent_channel_matrix_limit(monkeypatch):
     # 16 likelihood rows plus 96 maps, over 16 outputs
     ch, cfg = channel_preset("bsc", 0.1), FrameConfig(4, 0.3)
-    monkeypatch.setattr(capacity, "MAX_TABLE_BYTES", 112 * 16 * TABLE_CELL_BYTES - 1)
+    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 112 * 16 * TABLE_CELL_BYTES - 1)
     with pytest.raises(OracleTooLarge, match="all-maps table needs 112 x 16 cells"):
         equivalent_channel_matrix(ch, cfg)
-    monkeypatch.setattr(capacity, "MAX_TABLE_BYTES", 112 * 16 * TABLE_CELL_BYTES)
+    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 112 * 16 * TABLE_CELL_BYTES)
     assert equivalent_channel_matrix(ch, cfg).shape == (96, 16)
 
 
@@ -384,10 +384,10 @@ def test_orbit_channel_structure(kind):
 def test_oracle_solve_refuses_its_orbit_table_in_bytes(monkeypatch):
     # 16 likelihood rows plus the bound of 8 orbits (6 exist), over 16 outputs
     ch, cfg = channel_preset("bsc", 0.1), FrameConfig(4, 0.3)
-    monkeypatch.setattr(capacity, "MAX_TABLE_BYTES", 24 * 16 * TABLE_CELL_BYTES - 1)
+    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 24 * 16 * TABLE_CELL_BYTES - 1)
     with pytest.raises(OracleTooLarge, match="orbit table needs 24 x 16 cells"):
         capacity.oracle_solve(ch, cfg)
-    monkeypatch.setattr(capacity, "MAX_TABLE_BYTES", 24 * 16 * TABLE_CELL_BYTES)
+    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 24 * 16 * TABLE_CELL_BYTES)
     assert capacity.oracle_solve(ch, cfg).gap == 0.0
 
 
@@ -460,7 +460,7 @@ def test_a_cached_partition_does_not_lift_the_ceiling(monkeypatch):
     ch, cfg = channel_preset("bsc", 0.2), FrameConfig(6, 0.5)
     assert capacity.oracle_solve(ch, cfg).gap == 0.0
     calls = capacity._map_orbits.cache_info()
-    monkeypatch.setattr(capacity, "MAX_TABLE_BYTES", 0)
+    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 0)
     with pytest.raises(OracleTooLarge, match="orbit table needs 514 x 64 cells"):
         capacity.oracle_solve(ch, cfg)
     assert capacity._map_orbits.cache_info() == calls
@@ -480,7 +480,7 @@ def test_sweep_point_fields():
 
 def test_sweep_point_oracle_skipped_over_limit(monkeypatch):
     # the constructed rate's split tables take 432 bytes at erasure F = 3, the oracle's 7 128
-    monkeypatch.setattr(capacity, "MAX_TABLE_BYTES", 1 << 10)
+    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 1 << 10)
     row = sweep_point("erasure", 0.2, 0.5, 3)
     assert row.c_oracle is None
     assert row.c_constructed > 0
@@ -640,10 +640,10 @@ def test_split_tables_are_refused_in_bytes_before_they_are_built(monkeypatch):
     assert peak < 16 << 20
     # the constructed rate at erasure F = 3 needs 6^2 + 6 + 2^2 x 3 = 54 cells of 8 bytes
     ch, cfg = channel_preset("erasure", 0.2), FrameConfig(3, 0.5)
-    monkeypatch.setattr(capacity, "MAX_TABLE_BYTES", 8 * 54 - 1)
+    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 8 * 54 - 1)
     with pytest.raises(ValueError, match="split tables need 54 cells"):
         secondary_capacity(ch, cfg)
-    monkeypatch.setattr(capacity, "MAX_TABLE_BYTES", 8 * 54)
+    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 8 * 54)
     assert secondary_capacity(ch, cfg).method == "constructed"
 
 
@@ -922,7 +922,9 @@ def test_large_f_general_rates_hold_a_few_slabs_and_match_the_slow_path():
     finally:
         tracemalloc.stop()
     assert report.method == "enumerated"
-    assert peak < 6 * 8 * capacity.SLAB_CELLS, peak
+    # measured 4 289 944 bytes (4.09 slabs, numpy 2.4), and 5 118 096 (4.88) while one
+    # block's laws outlived the next block's product; 4.5 slabs leaves about 10% over it
+    assert peak < 4.5 * 8 * capacity.SLAB_CELLS, peak
     width = capacity.SLAB_CELLS // len(strategy_table(sset)[0])
     cols = np.array_split(np.arange(3**12), range(width, 3**12, width))
     h_t, h_y, h_y_by_x = _slow_entropies(ch, cfg, sset, cols)

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 import reorderchan
-from reorderchan import capacity, cli
+from reorderchan import capacity, cli, frame_space
 from reorderchan import (
     FrameConfig,
     channel_preset,
@@ -339,14 +339,14 @@ def test_invalid_values_exit_1(capsys):
 
 def test_oracle_respects_the_byte_budget(capsys, monkeypatch):
     # the erasure F=2 orbit table holds 4 likelihood rows plus the bound of 2 orbits, x 9
-    monkeypatch.setattr(capacity, "MAX_TABLE_BYTES", 6 * 9 * capacity.TABLE_CELL_BYTES - 1)
+    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 6 * 9 * capacity.TABLE_CELL_BYTES - 1)
     args = ["oracle", "--preset", "erasure", "--p", "0.1", "--a", "0.5", "--F", "2"]
     assert run_cli(args) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: orbit table needs 6 x 9 cells")
     assert captured.err.count("\n") == 1
-    monkeypatch.setattr(capacity, "MAX_TABLE_BYTES", 6 * 9 * capacity.TABLE_CELL_BYTES)
+    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 6 * 9 * capacity.TABLE_CELL_BYTES)
     assert run_cli(args) == 0
     capsys.readouterr()
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -136,33 +137,35 @@ def test_likelihood_rows_column_subset():
     assert np.allclose(likelihood_rows(ch, 3, [1, 6], cols), full[:, cols])
 
 
-def _folded_rows(ch, F, xs, cols):
-    """The position-by-position fold likelihood_rows replaced: ones, times a_0, ..., a_{F-1}."""
+def _folded_rows(ch, F, xs, cols, positions=None):
+    """Ones, times a_f for each f of positions (all F by default), in order: a fold of factors."""
     qmat = ch.matrix()
     xs = np.asarray(xs, dtype=np.int64)
     cols = np.arange(ch.J**F) if cols is None else np.asarray(cols)
     rows = np.ones((len(xs), len(cols)))
-    for f in range(F):
+    for f in range(F) if positions is None else positions:
         d = (cols // ch.J ** (F - 1 - f)) % ch.J
         b = (xs >> (F - 1 - f)) & 1
         rows *= qmat[b][:, d]
     return rows
 
 
-def test_likelihood_rows_equal_the_gathered_factor_product(monkeypatch):
-    # every prefix depth k (0, between, F) against the fold, bit for bit
-    depths = []
-    prefix_table = frame_space._prefix_table
+def _split_fold(ch, F, xs, cols):
+    """The fold of the first F - F // 2 positions times the fold of the last F // 2."""
+    k = F - F // 2
+    return _folded_rows(ch, F, xs, cols, range(k)) * _folded_rows(ch, F, xs, cols, range(k, F))
 
-    def spy(q, k):
-        depths.append(k)
-        return prefix_table(q, k)
 
-    monkeypatch.setattr(frame_space, "_prefix_table", spy)
+def test_likelihood_rows_equal_the_gathered_factor_product():
+    # bit for bit against the split-order fold; against the full F-position fold to
+    # F rounding steps: each of the two products takes F - 1 roundings of one unit
+    # roundoff u = eps / 2 (the leading 1.0 * a_0 is exact), so they differ by at
+    # most about 2 (F - 1) u < F eps, relative
     four = BinaryInputChannel((0.4, 0.3, 0.2, 0.1), (0.1, 0.1, 0.1, 0.7), "abcd")
     rng = np.random.default_rng(4)
+    eps = np.finfo(float).eps
     for ch in (*(channel_preset(kind, 0.3) for kind in ("erasure", "bsc", "z")), four):
-        J, seen = ch.J, set()
+        J = ch.J
         for F in range(1, 10):
             n_y = J**F
             row_sets = (
@@ -183,17 +186,46 @@ def test_likelihood_rows_equal_the_gathered_factor_product(monkeypatch):
                     if len(xs) * n_cols > 1 << 20:
                         continue
                     got = likelihood_rows(ch, F, xs, cols)
-                    k = depths[-1]
-                    seen.add("0" if k == 0 else "F" if k == F else "between")
-                    assert np.array_equal(got, _folded_rows(ch, F, xs, cols)), (F, xs, cols)
-        assert seen == {"0", "between", "F"}
+                    assert np.array_equal(got, _split_fold(ch, F, xs, cols)), (F, xs, cols)
+                    fold = _folded_rows(ch, F, xs, cols)
+                    assert np.all(np.abs(got - fold) <= F * eps * fold), (F, xs, cols)
     # the F + 1 staircase rows at F = 12, past the grid's F = 9, over 8192 columns at two offsets
     blocks = ((channel_preset("bsc", 0.1), 0), (channel_preset("erasure", 0.1), 8192))
     for ch, start in blocks:
         F = 12
         stair = [(1 << s) - 1 for s in range(F + 1)]
         cols = np.arange(start, min(start + 8192, ch.J**F))
-        assert np.array_equal(likelihood_rows(ch, F, stair, cols), _folded_rows(ch, F, stair, cols))
+        got = likelihood_rows(ch, F, stair, cols)
+        assert np.array_equal(got, _split_fold(ch, F, stair, cols))
+        fold = _folded_rows(ch, F, stair, cols)
+        assert np.all(np.abs(got - fold) <= F * eps * fold)
+
+
+def test_likelihood_rows_refuses_its_tables_before_building_them():
+    # one row and one column, but the split's tables at F = 20 take 2 x 8^10 cells: 17 GB
+    four = BinaryInputChannel((0.4, 0.3, 0.2, 0.1), (0.1, 0.1, 0.1, 0.7), "abcd")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="split tables need 2147483648 cells"):
+            likelihood_rows(four, 20, [0], [0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_likelihood_rows_admits_erasure_at_f20_by_the_rule_alone(monkeypatch):
+    # 2 x 6^10 = 120 932 352 cells, about 967 MB at 8 bytes; no table is built
+    def unbuilt(q, k):
+        raise LookupError("the byte rule let the tables through")
+
+    monkeypatch.setattr(frame_space, "_prefix_table", unbuilt)
+    erasure = channel_preset("erasure", 0.2)
+    with pytest.raises(LookupError, match="let the tables through"):
+        likelihood_rows(erasure, 20, [0], [0])
+    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 8 * 120_932_352 - 1)
+    with pytest.raises(ValueError, match="split tables need 120932352 cells"):
+        likelihood_rows(erasure, 20, [0], [0])
 
 
 def test_frame_likelihood_values():

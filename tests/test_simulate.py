@@ -181,6 +181,26 @@ def test_map_decode_tie_goes_to_smallest_index():
     assert _decode_all(SET4, erased, cfg, [3**4 - 1]) == [0]
 
 
+def test_decoder_equals_the_exact_map_decoder():
+    # every output of the constructed set, 3 presets x p x a at F = 2..5 and the
+    # four-letter channel at F = 2..4; a plain argmax settles some exact ties by
+    # rounding, as it did at bsc p = 0.1: outputs 2, 4 and 8 at F = 4, a = 0.5
+    # went to 4, 7 and 10 for 3, 6 and 9, and output 23 at F = 5, a = 0.3 to 8 for 5
+    cases = [
+        (channel_preset(kind, p), F, a)
+        for kind in ("erasure", "bsc", "z")
+        for p in (0.1, 0.2, 0.5)
+        for a in (0.3, 0.5)
+        for F in range(2, 6)
+    ]
+    cases += [(FOUR_LETTERS, F, a) for F in range(2, 5) for a in (0.3, 0.5)]
+    sets = {F: decompose_paths(build_weighted_graph(F)) for F in range(2, 6)}
+    for ch, F, a in cases:
+        sset, cfg, ys = sets[F], FrameConfig(F, a), range(ch.J**F)
+        want = [map_decode(sset, ch, cfg, y) for y in ys]
+        assert _decode_all(sset, ch, cfg, ys) == want, (ch, F, a)
+
+
 def test_map_decode_rejects_impossible_output():
     ch = channel_preset("erasure", 1.0)
     cfg = FrameConfig(2, 0.5)

@@ -45,8 +45,10 @@ def test_traced_simulation_sees_decode_and_trace_file(tmp_path, capsys):
     metrics = _traced_metrics(argv + ["--frames", "50", "--trace", str(tmp_path / "t.csv")])
     capsys.readouterr()
     assert metrics["cli.run_cli.calls"][0] == 1
-    # likelihood_rows called straight from run_monte_carlo is the MAP decode
-    assert metrics["simulate.decode_columns"][0] > 0
+    # likelihood_rows called straight from run_monte_carlo is the MAP decode, one
+    # column per distinct output
+    rows = (tmp_path / "t.csv").read_text().splitlines()[1:]
+    assert metrics["simulate.decode_columns"][0] == len({row.split(",")[4] for row in rows})
     assert metrics["capacity.mutual_info_TY.calls"][0] == 1
     assert metrics["simulate.trace_bytes"][0] == (tmp_path / "t.csv").stat().st_size
 
