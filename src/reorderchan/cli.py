@@ -9,8 +9,8 @@ import numpy as np
 
 from .capacity import errorless_capacity, oracle_solve, secondary_capacity, sweep_point
 from .channel import PRESET_KINDS, channel_preset
-from .frame_space import MAX_FRAME_LEN, FrameConfig, check_frame_len, symbol_string
-from .simulate import TRACE_CHUNK, run_monte_carlo
+from .frame_space import MAX_FRAME_LEN, FrameConfig, check_frame_len
+from .simulate import TRACE_CHUNK, bit_field, csv_rows, run_monte_carlo
 from .strategy import build_weighted_graph, decompose_paths
 
 CSV_HEADER = "F,a,p,preset,c_constructed,c_oracle,c_xy,outer_bound,c_errorless"
@@ -63,11 +63,11 @@ def parse_prob_list(text):
 def _cmd_construct(args):
     check_frame_len(args.F)
     reps = decompose_paths(build_weighted_graph(args.F)).reps
-    # the set sends every F-bit symbol, so each is rendered once and rows index the names
-    names = np.array([symbol_string(args.F, x) for x in range(1 << args.F)], dtype=object)
+    # the set sends every F-bit symbol, so each is rendered once and rows gather the names
+    names = bit_field(args.F, np.arange(1 << args.F))
     for lo in range(0, len(reps), TRACE_CHUNK):  # bounds the formatted rows held at once
-        rows = names[reps[lo : lo + TRACE_CHUNK]].tolist()
-        sys.stdout.writelines(",".join(row) + "\n" for row in rows)
+        chunk = reps[lo : lo + TRACE_CHUNK]
+        sys.stdout.write(csv_rows([(names.take(col, axis=0), None) for col in chunk.T]))
     return 0
 
 

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import SLAB_CELLS, mutual_info_TY
-from .frame_space import (
-    likelihood_rows,
-    mix_states,
-    output_string,
-    state_pmf,
-    symbol_string,
-)
+from .frame_space import likelihood_rows, mix_states, state_pmf
 from .strategy import strategy_table
 
 # Bytes a run holds per frame: the draws, the sent-symbol index, the output
@@ -31,6 +25,7 @@ from .strategy import strategy_table
 # block is a fixed size, and the decoder works in blocks of at most SLAB_CELLS
 # posterior cells. The joint histogram grows with the distinct outputs
 # observed, not with the frames, and is sized on its own against the ceiling.
+# The trace writer adds nothing per frame: it holds one TRACE_CHUNK of rows.
 FRAME_BYTES = 80
 # n_frames x FRAME_BYTES above this is refused before any draw, and so is a
 # joint histogram of more than this many bytes before it is counted
@@ -39,8 +34,12 @@ MAX_FRAME_BYTES = 1 << 31
 NOISE_CHUNK = 1 << 16
 # least number of guide-table buckets in _draw_index, 32 KiB of intp starts
 GUIDE_BUCKETS = 1 << 12
-# trace rows formatted per writelines call, which bounds the writer's strings
-TRACE_CHUNK = 1 << 16
+# rows per trace write. A chunk's fields, byte matrix, keep mask and text take
+# about 150 bytes a row, 1.2 MiB at erasure F = 6 (26-byte rows), and are made
+# after the noise and decoder buffers are freed: a traced erasure F = 6 run of
+# 2e5 frames peaks about 0.1 MB above an untraced one, by tracemalloc.
+# `construct` prints its rows in chunks of the same size
+TRACE_CHUNK = 1 << 13
 # posteriors within this relative distance of an output's top count as tied with it
 TIE_RTOL = 1e-12
 
@@ -144,6 +143,103 @@ def _decode_observed(sset, channel, config, pmf_s, used, rep_idx, uniq_y):
     return t_hat
 
 
+def _four_digits():
+    """(text, shown) uint32 tables of 0..9 999, one byte per decimal digit.
+
+    text[v] holds v's four ASCII digits, zero-padded; shown[v] is 1 at the
+    digits v prints alone, its leading zeros 0. Built per trace, in about
+    0.1 ms, not cached: a table kept from the middle of a run pins the heap
+    above it, which raised later runs' peak RSS.
+    """
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    text = np.stack(np.meshgrid(digits, digits, digits, digits, indexing="ij"), axis=-1)
+    shown = np.arange(10_000)[:, None] >= np.array([1000, 100, 10, 0])
+    return text.reshape(10_000, 4).view(np.uint32).ravel(), shown.view(np.uint32).ravel()
+
+
+def _digit_field(values, top, tables):
+    """(bytes, keep) field of nonnegative ints up to top, in decimal.
+
+    bytes holds each value zero-padded to the width of top and keep marks its
+    printed digits, both looked up four digits at a time in `_four_digits`
+    tables. A group prints every digit under a nonzero higher part, and none
+    when it and every higher part are zero, except the units group.
+    """
+    text, shown = tables
+    width = len(str(top))
+    words, keep, rest = [], [], values
+    for g in range(-(-width // 4)):  # least significant four digits first
+        high = rest // 10_000
+        low = rest - high * 10_000
+        words.append(text.take(low))
+        group_keep = np.where(high > 0, shown[9_999], shown.take(low))  # 9 999 prints all four
+        keep.append(group_keep * (rest > 0) if g else group_keep)
+        rest = high
+    return (
+        np.stack(words[::-1], axis=1).view(np.uint8)[:, -width:],
+        np.stack(keep[::-1], axis=1).view(bool)[:, -width:],
+    )
+
+
+def bit_field(F, symbols):
+    """uint8 matrix of each symbol's ASCII bit string, leftmost position first."""
+    bits = (symbols[:, None] >> np.arange(F - 1, -1, -1)) & 1
+    return bits.astype(np.uint8) + ord("0")
+
+
+def _label_field(channel, F, outputs):
+    """(bytes, keep) field of each base-J output spelled in the channel's UTF-8 labels.
+
+    A letter takes as many columns as the longest label, and keep marks the
+    bytes its own label fills; keep is None when every label has one length.
+    Lengths are counted, not read off the bytes, so a label may hold a NUL.
+    """
+    encoded = [label.encode() for label in channel.output_labels]
+    lengths = np.array([len(e) for e in encoded])
+    table = np.zeros((channel.J, lengths.max()), dtype=np.uint8)
+    for row, e in zip(table, encoded):
+        row[: len(e)] = np.frombuffer(e, dtype=np.uint8)
+    letters = outputs[:, None] // channel.J ** np.arange(F - 1, -1, -1) % channel.J
+    field = table.take(letters, axis=0).reshape(len(outputs), -1)
+    if np.all(lengths == lengths[0]):
+        return field, None
+    keep = np.arange(table.shape[1]) < lengths[:, None]
+    return field, keep.take(letters, axis=0).reshape(len(outputs), -1)
+
+
+def _put_rows(dst, src):
+    """dst[:] = src for same-shape (rows, w) byte blocks, moving each row as one w-byte item.
+
+    numpy copies a narrow uint8 block one byte at a time; through the void
+    view each row is one item, about 2 to 7 times faster at w = 6 and 2.
+    """
+    if src.shape[1]:
+        item = f"V{src.shape[1]}"
+        dst.view(item)[:, 0] = src.view(item)[:, 0]
+
+
+def csv_rows(fields):
+    """One str of CSV lines, the i-th built from row i of every (bytes, keep) field.
+
+    bytes is a uint8 matrix of UTF-8 and keep a same-shape mask of the bytes
+    that print, or None when all do. The fields and their separators go into
+    one matrix, and one boolean index drops the unkept bytes of every line.
+    """
+    n_rows = len(fields[0][0])
+    line = np.empty((n_rows, sum(b.shape[1] + 1 for b, _ in fields)), dtype=np.uint8)
+    keep = None if all(k is None for _, k in fields) else np.ones(line.shape, dtype=bool)
+    lo = 0
+    for b, k in fields:
+        hi = lo + b.shape[1]
+        _put_rows(line[:, lo:hi], b)
+        line[:, hi] = ord(",")
+        if k is not None:
+            _put_rows(keep[:, lo:hi], k)
+        lo = hi + 1
+    line[:, -1] = ord("\n")
+    return (line if keep is None else line[keep]).tobytes().decode()
+
+
 def run_monte_carlo(channel, config, sset, n_frames, seed, trace=None):
     """Simulate frames end to end and report counts plus a plug-in rate estimate.
 
@@ -207,14 +303,23 @@ def run_monte_carlo(channel, config, sset, n_frames, seed, trace=None):
         fh = open(trace, "w") if isinstance(trace, (str, os.PathLike)) else trace
         try:
             fh.write("frame,s,t,x,y,t_hat\n")
-            x_text = np.array([symbol_string(F, v) for v in used.tolist()], dtype=object)
-            y_text = np.array([output_string(F, v, channel) for v in uniq_y.tolist()], dtype=object)
-            row = "{},{},{},{},{},{}\n".format
+            x_bytes = bit_field(F, used)
+            y_bytes, y_keep = _label_field(channel, F, uniq_y)
+            tables = _four_digits()
             for lo in range(0, n_frames, TRACE_CHUNK):
                 part = slice(lo, lo + TRACE_CHUNK)
-                s_c, t_c = s_draw[part], t_draw[part]
-                cols = (s_c, t_c, x_text[xi[part]], y_text[inverse[part]], t_hat[part])
-                fh.writelines(map(row, range(lo, n_frames), *(c.tolist() for c in cols)))
+                y_i = inverse[part]
+                y_keep_part = None if y_keep is None else y_keep.take(y_i, axis=0)
+                frame = np.arange(lo, min(lo + TRACE_CHUNK, n_frames))
+                fields = [
+                    _digit_field(frame, n_frames - 1, tables),
+                    _digit_field(s_draw[part], F, tables),
+                    _digit_field(t_draw[part], n_t - 1, tables),
+                    (x_bytes.take(xi[part], axis=0), None),
+                    (y_bytes.take(y_i, axis=0), y_keep_part),
+                    _digit_field(t_hat[part], n_t - 1, tables),
+                ]
+                fh.write(csv_rows(fields))
         finally:
             if fh is not trace:
                 fh.close()

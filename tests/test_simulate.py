@@ -18,16 +18,23 @@ from reorderchan import (
 )
 from reorderchan import simulate
 from reorderchan.cli import fmt, run_cli
+from reorderchan.frame_space import output_string, symbol_string
 from reorderchan.simulate import (
     FRAME_BYTES,
     GUIDE_BUCKETS,
     MAX_FRAME_BYTES,
     NOISE_CHUNK,
     SLAB_CELLS,
+    TRACE_CHUNK,
     _decode_observed,
+    _digit_field,
     _draw_index,
+    _four_digits,
+    _label_field,
     _noisy_outputs,
     _rank_outputs,
+    bit_field,
+    csv_rows,
 )
 from reorderchan.strategy import strategy_table
 
@@ -321,6 +328,8 @@ def test_trace_is_reproducible(tmp_path):
 
 # q0's float cumsum ends at 0.9999999999999999, so a uniform can land past it
 FOUR_LETTERS = BinaryInputChannel((0.4, 0.3, 0.2, 0.1), (0.1, 0.1, 0.1, 0.7), "abcd")
+# labels of 2, 2, 0 and 1 UTF-8 bytes, so trace rows are ragged
+RAGGED_LABELS = BinaryInputChannel(FOUR_LETTERS.q0, FOUR_LETTERS.q1, ("α", "bb", "", "d"))
 
 # sha256 of `simulate` stdout plus trace bytes. A seed fixes these bytes, so a
 # change that moves any of them breaks the seed contract and must say so.
@@ -342,6 +351,7 @@ GOLDEN_CLI = {
 GOLDEN_LIBRARY = {
     "four_letters": "b58e35567d5f8a7550e56251a1c7f276d66347da06565287bd63e7de82b09d97",
     "past_one_chunk": "af24fbf6796bdacc578936bb916a12b8f3371f7b58779d2dd4f173aa67f1d60d",
+    "ragged_labels": "08ef25cd5c7751c5412269707cca477797f566152c39e51774a9c9a596757322",
 }
 
 
@@ -368,6 +378,8 @@ def _library_run(ch, F, a, n_frames, seed):
 LIBRARY_RUNS = {
     "four_letters": (FOUR_LETTERS, 4, 0.35, 3000, 5),
     "past_one_chunk": (channel_preset("erasure", 0.3), 2, 0.45, 70_000, 8),
+    # three trace chunks, and frame numbers from four digits to five
+    "ragged_labels": (RAGGED_LABELS, 3, 0.35, 20_000, 13),
 }
 
 
@@ -487,6 +499,70 @@ def test_trace_to_file_object_matches_trace_to_path(tmp_path):
     lines = text.splitlines()
     assert len(lines) == n_frames + 1
     assert [int(line.split(",", 1)[0]) for line in lines[1:]] == list(range(n_frames))
+
+
+# each decimal width change a trace number passes: the largest frame index
+# MAX_FRAME_BYTES admits has 8 digits, and L - 1 at F = 16 (L = 720 720) has 6
+TRACE_NUMBERS = (0, 9, 10, 99, 100, 9_999, 10_000, 720_719, 99_999_999)
+
+
+def _trace_numbers(rng, top, n):
+    """n ints up to top: each TRACE_NUMBERS entry at or below it, top, then uniform draws."""
+    edges = [v for v in TRACE_NUMBERS if v <= top] + [top]
+    return rng.permutation(np.concatenate([edges, rng.integers(0, top + 1, n - len(edges))]))
+
+
+@pytest.mark.parametrize(
+    "labels", [("0", "1", "e"), ("α", "bb", "", "\x00"), ("\x00", "€x", "d")]
+)
+def test_trace_kernel_equals_str_format(labels):
+    # a NUL label is a byte that prints, so a kernel that strips NULs fails here
+    assert len(str(MAX_FRAME_BYTES // FRAME_BYTES - 1)) == 8
+    F, J, n = 5, len(labels), 3000
+    ch = BinaryInputChannel(np.full(J, 1 / J), np.full(J, 1 / J), labels)
+    rng = np.random.default_rng(J)
+    frame = _trace_numbers(rng, 99_999_999, n)
+    s = _trace_numbers(rng, F, n)
+    t = _trace_numbers(rng, 720_719, n)
+    t_hat = _trace_numbers(rng, 720_719, n)
+    x = rng.integers(0, 1 << F, n)
+    y = rng.integers(0, J**F, n)
+    y_bytes, y_keep = _label_field(ch, F, np.arange(J**F))
+    tables = _four_digits()
+    fields = [
+        _digit_field(frame, 99_999_999, tables),
+        _digit_field(s, F, tables),
+        _digit_field(t, 720_719, tables),
+        (bit_field(F, x), None),
+        (y_bytes[y], None if y_keep is None else y_keep[y]),
+        _digit_field(t_hat, 720_719, tables),
+    ]
+    assert (y_keep is None) == (len({len(v.encode()) for v in labels}) == 1)
+    row = "{},{},{},{},{},{}\n".format
+    want = [
+        row(*v[:3], symbol_string(F, v[3]), output_string(F, v[4], ch), v[5])
+        for v in zip(*(c.tolist() for c in (frame, s, t, x, y, t_hat)))
+    ]
+    assert csv_rows(fields) == "".join(want)
+
+
+def test_trace_writer_adds_at_most_a_chunk_to_the_peak(tmp_path):
+    # rows are formatted TRACE_CHUNK at a time, after the noise and decoder
+    # buffers that set an untraced run's peak are freed
+    ch, F = channel_preset("erasure", 0.2), 6
+    sset = decompose_paths(build_weighted_graph(F))
+    cfg = FrameConfig(F, 0.5)
+    run_monte_carlo(ch, cfg, sset, 1000, 5, trace=io.StringIO())  # fills first-use caches
+    peaks = []
+    for trace in (None, tmp_path / "trace.csv"):
+        tracemalloc.start()
+        try:
+            run_monte_carlo(ch, cfg, sset, 200_000, 5, trace=trace)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert 200_000 > 20 * TRACE_CHUNK
+    assert peaks[1] <= peaks[0] + (1 << 20)
 
 
 def test_run_monte_carlo_refuses_oversized_draws():
