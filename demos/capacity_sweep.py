@@ -15,10 +15,11 @@ P = 0.2
 A = 0.5
 
 # %%
-# The oracle column fills while the oracle's orbit table fits in 2 GiB,
-# which is F <= 7; from F = 8 the row keeps the constructed value and bounds.
+# The oracle column fills while the oracle's orbit partition fits in 2 GiB,
+# which is F <= 8; F = 8 takes about 13 s, most of it the laws of 423,076
+# orbits over 3^8 outputs. The F = 9 row keeps the constructed value and bounds.
 
-rows = [sweep_point("erasure", P, A, F) for F in range(1, 9)]
+rows = [sweep_point("erasure", P, A, F) for F in range(1, 10)]
 
 print(f"erasure, p = {P}, a = {A}")
 print(f"{'F':>2} {'constructed':>12} {'oracle':>12} {'c_xy':>8} {'outer':>8} {'per packet':>11}")

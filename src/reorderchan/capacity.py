@@ -28,11 +28,9 @@ from .strategy import induced_input_pmf, lcm_binomials
 DECOMPOSITION_TOL = 1e-9
 BA_TOL = 1e-10
 BA_MAX_ITER = 100_000
-# bytes per cell of the (2^F + orbits) x J^F table that `oracle_solve` is refused on: a
-# conservative figure, the tracemalloc peak per cell when that table was built whole (F = 6
-# and 7, every preset). The oracle now walks it in slab blocks and peaks under 5 MB through
-# F = 7, but a smaller figure would admit F = 8 and the partition of its 423,076 orbits
-TABLE_CELL_BYTES = 24
+# bytes of the `_map_orbits(F)` partition per S // F!, S the number of strategy maps: its
+# tracemalloc peak per S // F! is 258, 188 and 276 bytes at F = 6, 7 and 8 (numpy 2.4)
+ORBIT_BYTES = 384
 SLAB_CELLS = 1 << 17  # float64 cells in one strategies x outputs slab: 1 MiB
 
 
@@ -262,27 +260,7 @@ def strategy_space_size(F):
 
 
 class OracleTooLarge(ValueError):
-    """The oracle's table, or the all-maps table, would pass MAX_TABLE_BYTES."""
-
-
-def _check_table_bytes(F, J, strategies, what):
-    """Refuse, before anything is built, a table of 2^F likelihood rows plus `strategies` rows."""
-    rows, cols = (1 << F) + strategies, J**F
-    limit = frame_space.MAX_TABLE_BYTES
-    if rows * cols * TABLE_CELL_BYTES > limit:
-        raise OracleTooLarge(
-            f"{what} needs {rows} x {cols} cells at {TABLE_CELL_BYTES} bytes, over {limit} bytes"
-        )
-
-
-def _orbit_bound(F):
-    """At least the number of S_F orbits of strategy maps, without building them: 2 S / F!.
-
-    An orbit holds at most F! maps, so S / F! is a lower bound on the count;
-    `_map_orbits` gives 1.0 to 1.66 times it at F <= 8. From F = 9 on, S / F!
-    alone is over MAX_TABLE_BYTES for every J >= 2, so F = 9 and up is refused either way.
-    """
-    return -(-2 * strategy_space_size(F) // factorial(F))
+    """The oracle's orbit partition, or the all-maps table, would pass MAX_TABLE_BYTES."""
 
 
 def _all_maps(F):
@@ -298,10 +276,14 @@ def equivalent_channel_matrix(channel, config):
     """Rows P(y | t) for every strategy map, states mixed by the frame law.
 
     The oracle runs on `orbit_channel`; this full table is its enumerated
-    cross-check, refused in bytes like the oracle's own table.
+    cross-check. It is refused, before anything is built, on the arrays it
+    allocates at 8 bytes a cell: the 2^F likelihood rows and the mixed table
+    with its scratch, J^F cells a row, and three (F+1)-column copies of the maps.
     """
-    F = config.F
-    _check_table_bytes(F, channel.J, strategy_space_size(F), "all-maps table")
+    F, S = config.F, strategy_space_size(config.F)
+    cells, limit = ((1 << F) + 2 * S) * channel.J**F + 3 * S * (F + 1), frame_space.MAX_TABLE_BYTES
+    if 8 * cells > limit:
+        raise OracleTooLarge(f"all-maps table needs {cells} cells at 8 bytes, over {limit} bytes")
     rows = likelihood_rows(channel, F, list(range(1 << F)))
     return mix_states(rows, _all_maps(F), state_pmf(config))
 
@@ -401,10 +383,14 @@ def oracle_solve(channel, config):
     certifies it: its lower bound sum_t r_t D_t and its upper bound max_t D_t
     are then the same number, so it returns gap 0.0 after 1 iteration. The
     result's input_pmf is that one-hot law over map orbits. The call is
-    refused on the bytes of the (2^F + orbits) x J^F table before the orbits
-    are read, although `orbit_channel` holds only slab blocks of it.
+    refused, before the cached partition is read, when `_map_orbits` would
+    pass MAX_TABLE_BYTES at ORBIT_BYTES per S // F!, at most the orbit count
+    since an orbit holds at most F! of the S maps; the orbit laws are held in
+    slab blocks only. That admits every preset through F = 8 and refuses F >= 9.
     """
-    _check_table_bytes(config.F, channel.J, _orbit_bound(config.F), "orbit table")
+    n, limit = strategy_space_size(config.F) // factorial(config.F), frame_space.MAX_TABLE_BYTES
+    if n * ORBIT_BYTES > limit:
+        raise OracleTooLarge(f"orbit partition needs {n} x {ORBIT_BYTES} bytes, over {limit} bytes")
     _, h = orbit_channel(channel, config)
     outer = outer_bound(channel, config)
     densities = np.clip(outer + _mean_noise_entropy(channel, config) - h, 0.0, outer)

@@ -12,19 +12,17 @@ PRESET_KINDS = ("erasure", "bsc", "z")
 def entropy_bits(pmf):
     """Shannon entropy in bits, 0 log 0 = 0, of a vector or of each row of a matrix.
 
-    A matrix's p log p terms need no mask: log2 of max(p, 5e-324), the
-    smallest subnormal, is finite, so a zero cell gives a zero term, and every
-    p > 0 keeps its own.
+    The p log p terms need no mask: log2 of max(p, 5e-324), the smallest
+    subnormal, is finite, so a zero cell gives a zero term, every p > 0 keeps
+    its own, and a NaN cell gives NaN.
     """
     p = np.asarray(pmf, dtype=float)
-    if p.ndim == 2:
-        terms = np.maximum(p, 5e-324)
-        np.log2(terms, out=terms)
-        terms *= p
-        return -terms.sum(axis=1)
-    p = p[p > 0]
+    terms = np.maximum(p, 5e-324)
+    np.log2(terms, out=terms)
+    terms *= p
+    h = -terms.sum(axis=-1)
     # adding 0.0 keeps a degenerate vector from printing as -0.0
-    return float(-np.sum(p * np.log2(p)) + 0.0)
+    return h if p.ndim == 2 else float(h + 0.0)
 
 
 def binary_entropy(p):

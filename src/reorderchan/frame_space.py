@@ -14,7 +14,9 @@ from math import comb
 import numpy as np
 
 MAX_FRAME_LEN = 20
-MAX_TABLE_BYTES = 1 << 31  # the 2 GiB that also bounds strategy sets and Monte Carlo frames
+# the package's one ceiling, 2 GiB, read at call time by every byte rule: split tables, the
+# oracle's orbit partition and all-maps table, strategy sets, Monte Carlo frames and joint
+MAX_TABLE_BYTES = 1 << 31
 
 
 def check_frame_len(F):

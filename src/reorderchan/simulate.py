@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import frame_space
 from .capacity import SLAB_CELLS, mutual_info_TY
 from .frame_space import likelihood_rows, mix_states, state_pmf
 from .strategy import strategy_table
@@ -26,10 +27,9 @@ from .strategy import strategy_table
 # posterior cells. The joint histogram grows with the distinct outputs
 # observed, not with the frames, and is sized on its own against the ceiling.
 # The trace writer adds nothing per frame: it holds one TRACE_CHUNK of rows.
+# n_frames x FRAME_BYTES above frame_space.MAX_TABLE_BYTES is refused before any
+# draw, and so is a joint histogram of more bytes than that before it is counted.
 FRAME_BYTES = 80
-# n_frames x FRAME_BYTES above this is refused before any draw, and so is a
-# joint histogram of more than this many bytes before it is counted
-MAX_FRAME_BYTES = 1 << 31
 # noise uniforms drawn per block, whole frames at a time: 512 KiB of float64
 NOISE_CHUNK = 1 << 16
 # least number of guide-table buckets in _draw_index, 32 KiB of intp starts
@@ -257,10 +257,9 @@ def run_monte_carlo(channel, config, sset, n_frames, seed, trace=None):
         raise ValueError("n_frames must be positive")
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    if n_frames * FRAME_BYTES > MAX_FRAME_BYTES:
-        raise ValueError(
-            f"{n_frames} frames x {FRAME_BYTES} bytes per frame exceed {MAX_FRAME_BYTES} bytes"
-        )
+    limit = frame_space.MAX_TABLE_BYTES
+    if n_frames * FRAME_BYTES > limit:
+        raise ValueError(f"{n_frames} frames x {FRAME_BYTES} bytes per frame exceed {limit} bytes")
     if isinstance(trace, (str, os.PathLike)):
         # a bad path fails here, before the first draw. The rows are written
         # once the run's numbers are known, through a second open, so that the
@@ -280,10 +279,10 @@ def run_monte_carlo(channel, config, sset, n_frames, seed, trace=None):
     # cell, then 48 bytes of index and ratio arrays per nonzero cell; 25 a
     # cell covers them while about a third of the cells or fewer are observed
     cells = n_t * len(uniq_y)
-    if cells * 25 > MAX_FRAME_BYTES:
+    if cells * 25 > limit:
         raise ValueError(
             f"{n_t} strategies x {len(uniq_y)} observed outputs x 25 bytes per cell "
-            f"exceed {MAX_FRAME_BYTES} bytes"
+            f"exceed {limit} bytes"
         )
     t_hat = _decode_observed(sset, channel, config, pmf_s, used, rep_idx, uniq_y)[inverse]
     symbol_errors = int(np.sum(t_hat != t_draw))

@@ -7,6 +7,7 @@ in reference.py.
 """
 
 import functools
+from math import factorial
 
 import numpy as np
 import pytest
@@ -34,8 +35,8 @@ from reorderchan import (
     z_fixed_input_capacity,
     z_point_capacity,
 )
-from reorderchan import capacity, frame_space
-from reorderchan.capacity import _all_maps, oracle_solve
+from reorderchan import frame_space
+from reorderchan.capacity import ORBIT_BYTES, _all_maps, oracle_solve, strategy_space_size
 
 PRESETS = ("erasure", "bsc", "z")
 
@@ -92,6 +93,19 @@ def test_acceptance_1_at_f7():
         # BA's capacity is a lower bound on C, and C - capacity <= gap
         excess = mutual_info_TY(ch, cfg, sset).i_ty - oracle.capacity
         assert -1e-9 <= excess <= oracle.gap + 1e-9, (kind, excess, oracle.gap)
+
+
+@criterion(1, "constructed set matches the brute-force oracle at F = 8")
+def test_acceptance_1_at_f8():
+    # 423 076 orbits of 2.1e10 maps, built once for both presets; erasure's 3^8 outputs
+    # take about 12 s of orbit laws a point, so CI checks it in a step of its own
+    sset = decompose_paths(build_weighted_graph(8))
+    cfg = FrameConfig(8, 0.5)
+    for kind in ("bsc", "z"):
+        ch = channel_preset(kind, 0.2)
+        oracle = oracle_solve(ch, cfg)
+        assert oracle.gap == 0.0, kind
+        assert abs(mutual_info_TY(ch, cfg, sset).i_ty - oracle.capacity) <= 1e-12, kind
 
 
 @criterion(2, "noiseless rate equals the errorless closed form")
@@ -176,12 +190,17 @@ def test_acceptance_5():
 def test_acceptance_6():
     prev = -1.0
     for F in range(1, 11):
+        # a byte short of the oracle's orbit partition, S // F! x ORBIT_BYTES; the constructed
+        # rate's split tables, at most 3 x 6^(F - F // 2) cells of 8 bytes, still fit, except
+        # at F = 3, where they take 54 cells, 432 bytes, to the partition's 384: both run there
+        limit = 8 * 54 if F == 3 else strategy_space_size(F) // factorial(F) * ORBIT_BYTES - 1
         with pytest.MonkeyPatch.context() as mp:
-            # a byte short of the oracle's 2^F x 3^F likelihood rows alone; the constructed
-            # rate's split tables, at most 3 x 6^(F - F // 2) cells of 8 bytes, still fit
-            mp.setattr(frame_space, "MAX_TABLE_BYTES", 6**F * capacity.TABLE_CELL_BYTES - 1)
+            mp.setattr(frame_space, "MAX_TABLE_BYTES", limit)
             row = sweep_point("erasure", 0.2, 0.5, F)
-        assert row.c_oracle is None
+        if F == 3:
+            assert abs(row.c_oracle - row.c_constructed) < 1e-6
+        else:
+            assert row.c_oracle is None
         assert 0.0 <= row.c_constructed <= row.c_xy + 1e-9
         assert row.c_xy <= row.outer_bound + 1e-9
         assert abs(row.c_xy - 0.8 * F) < 1e-9

@@ -1,6 +1,6 @@
 import tracemalloc
 from itertools import product
-from math import comb, log2
+from math import comb, factorial, log2
 
 import numpy as np
 import pytest
@@ -34,7 +34,7 @@ from reorderchan import (
     z_point_capacity,
 )
 from reorderchan import capacity, frame_space
-from reorderchan.capacity import TABLE_CELL_BYTES, equivalent_channel_matrix, strategy_space_size
+from reorderchan.capacity import ORBIT_BYTES, equivalent_channel_matrix, strategy_space_size
 from reorderchan.frame_space import mix_states, state_pmf, weight_table
 from reorderchan.strategy import strategy_table
 from test_strategy import STAIR3, permutation_set
@@ -245,13 +245,30 @@ def test_equivalent_channel_matrix_shape_f4():
 
 
 def test_equivalent_channel_matrix_limit(monkeypatch):
-    # 16 likelihood rows plus 96 maps, over 16 outputs
+    # 16 likelihood rows plus 96 maps and their scratch over 16 outputs, and 3 x 96 x 5 map cells
     ch, cfg = channel_preset("bsc", 0.1), FrameConfig(4, 0.3)
-    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 112 * 16 * TABLE_CELL_BYTES - 1)
-    with pytest.raises(OracleTooLarge, match="all-maps table needs 112 x 16 cells"):
+    cells = (16 + 2 * 96) * 16 + 3 * 96 * 5
+    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 8 * cells - 1)
+    with pytest.raises(OracleTooLarge, match=f"all-maps table needs {cells} cells at 8 bytes"):
         equivalent_channel_matrix(ch, cfg)
-    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 112 * 16 * TABLE_CELL_BYTES)
+    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 8 * cells)
     assert equivalent_channel_matrix(ch, cfg).shape == (96, 16)
+
+
+@pytest.mark.parametrize("kind", ["erasure", "bsc", "z"])
+@pytest.mark.parametrize("F", [4, 5])
+def test_equivalent_channel_matrix_rule_bounds_its_peak(monkeypatch, kind, F):
+    ch, cfg = channel_preset(kind, 0.2), FrameConfig(F, 0.5)
+    tracemalloc.start()
+    try:
+        equivalent_channel_matrix(ch, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the rule counts at least what the call allocated, so a byte under that peak refuses it
+    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", peak - 1)
+    with pytest.raises(OracleTooLarge, match="all-maps table"):
+        equivalent_channel_matrix(ch, cfg)
 
 
 def test_blahut_arimoto_closed_forms():
@@ -382,32 +399,54 @@ def test_orbit_channel_structure(kind):
 
 
 def test_oracle_solve_refuses_its_orbit_table_in_bytes(monkeypatch):
-    # 16 likelihood rows plus the bound of 8 orbits (6 exist), over 16 outputs
+    # S // F! = 96 // 24 = 4 at F = 4, where 6 orbits exist
     ch, cfg = channel_preset("bsc", 0.1), FrameConfig(4, 0.3)
-    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 24 * 16 * TABLE_CELL_BYTES - 1)
-    with pytest.raises(OracleTooLarge, match="orbit table needs 24 x 16 cells"):
+    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 4 * ORBIT_BYTES - 1)
+    with pytest.raises(OracleTooLarge, match=f"orbit partition needs 4 x {ORBIT_BYTES} bytes"):
         capacity.oracle_solve(ch, cfg)
-    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 24 * 16 * TABLE_CELL_BYTES)
+    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 4 * ORBIT_BYTES)
     assert capacity.oracle_solve(ch, cfg).gap == 0.0
 
 
 @pytest.mark.parametrize("kind", ["erasure", "bsc", "z"])
-def test_oracle_refuses_f8_before_building_anything(kind):
-    # F = 6 and 7 run by default: see test_acceptance_1_at_f6 and _at_f7
+def test_oracle_refuses_f9_before_building_anything(kind):
+    # F = 6, 7 and 8 run by default: see test_acceptance_1_at_f6, _at_f7 and _at_f8
     tracemalloc.start()
     try:
-        with pytest.raises(OracleTooLarge, match="orbit table"):
-            capacity.oracle_solve(channel_preset(kind, 0.2), FrameConfig(8, 0.5))
+        with pytest.raises(OracleTooLarge, match="orbit partition needs 32406091 x"):
+            capacity.oracle_solve(channel_preset(kind, 0.2), FrameConfig(9, 0.5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
 
 
-def test_orbit_bound_is_at_least_the_orbit_count():
+def test_oracle_runs_a_four_letter_channel_at_f7():
+    # the rule sizes the partition alone, so J = 4 at F = 7 (16 384 outputs) is admitted
+    ch = BinaryInputChannel((0.4, 0.3, 0.2, 0.1), (0.1, 0.1, 0.1, 0.7), "abcd")
+    cfg = FrameConfig(7, 0.5)
+    oracle = capacity.oracle_solve(ch, cfg)
+    assert oracle.gap == 0.0
+    assert abs(oracle.capacity - secondary_capacity(ch, cfg).i_ty) <= 1e-12
+
+
+def _orbit_floor(F):
+    """S // F!, the oracle's count of orbits in its byte rule."""
+    return strategy_space_size(F) // factorial(F)
+
+
+def test_orbit_rule_bounds_the_partition_it_builds():
     # F = 8 is checked in the F = 8 partition test, which builds that partition uncached
-    for F in range(1, 8):
-        assert capacity._orbit_bound(F) >= len(capacity._map_orbits(F)[0]), F
+    for F in (6, 7):
+        tracemalloc.start()
+        try:
+            capacity._map_orbits.__wrapped__(F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _orbit_floor(F) * ORBIT_BYTES, F
+    for F in range(1, 9):
+        assert _orbit_floor(F) <= len(capacity._map_orbits(F)[0]), F
 
 
 def _all_maps_partition(F):
@@ -453,17 +492,20 @@ def test_map_orbits_at_f8_grow_nine_bit_columns_in_bounded_memory():
     assert orbit_sizes.dtype == reps.dtype == np.int64
     assert len(orbit_sizes) == 423076 and orbit_sizes.sum() == strategy_space_size(8)
     assert np.all(weight_table(8)[reps] == np.arange(9))
-    assert capacity._orbit_bound(8) >= len(orbit_sizes)
+    assert peak <= _orbit_floor(8) * ORBIT_BYTES
+    assert _orbit_floor(8) <= len(orbit_sizes)
 
 
 def test_a_cached_partition_does_not_lift_the_ceiling(monkeypatch):
     ch, cfg = channel_preset("bsc", 0.2), FrameConfig(6, 0.5)
     assert capacity.oracle_solve(ch, cfg).gap == 0.0
     calls = capacity._map_orbits.cache_info()
-    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 0)
-    with pytest.raises(OracleTooLarge, match="orbit table needs 514 x 64 cells"):
+    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 225 * ORBIT_BYTES - 1)
+    with pytest.raises(OracleTooLarge, match=f"orbit partition needs 225 x {ORBIT_BYTES} bytes"):
         capacity.oracle_solve(ch, cfg)
     assert capacity._map_orbits.cache_info() == calls
+    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 225 * ORBIT_BYTES)
+    assert capacity.oracle_solve(ch, cfg).gap == 0.0
 
 
 def test_sweep_point_fields():
@@ -479,11 +521,16 @@ def test_sweep_point_fields():
 
 
 def test_sweep_point_oracle_skipped_over_limit(monkeypatch):
-    # the constructed rate's split tables take 432 bytes at erasure F = 3, the oracle's 7 128
-    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 1 << 10)
-    row = sweep_point("erasure", 0.2, 0.5, 3)
+    # the constructed rate's split tables take 864 bytes at erasure F = 4, the oracle's
+    # partition 4 x ORBIT_BYTES = 1 536. At F = 3 the partition's 384 bytes are under the 432
+    # of the constructed rate's tables, so no ceiling skips the oracle alone there
+    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 4 * ORBIT_BYTES - 1)
+    row = sweep_point("erasure", 0.2, 0.5, 4)
     assert row.c_oracle is None
     assert row.c_constructed > 0
+    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 4 * ORBIT_BYTES)
+    row = sweep_point("erasure", 0.2, 0.5, 4)
+    assert abs(row.c_oracle - row.c_constructed) < 1e-9
 
 
 def test_sweep_point_keeps_other_oracle_errors(monkeypatch):

@@ -39,6 +39,20 @@ def test_mask_free_row_entropies_equal_the_masked_form():
     assert entropy_bits(p)[:3].tolist() == [1.5, 0.0, entropy_bits(p[2])]
 
 
+def test_a_vector_takes_the_matrix_path():
+    # each row's entropy as a vector is its matrix entropy bit for bit, NaN included
+    rng = np.random.default_rng(5)
+    rows = rng.dirichlet(np.ones(40), size=6) * (rng.random((6, 40)) < 0.6)
+    rows[1, 3] = np.nan
+    h = entropy_bits(rows)
+    for row, want in zip(rows, h):
+        got = entropy_bits(row)
+        assert type(got) is float
+        assert np.array_equal(got, want, equal_nan=True)
+    assert np.isnan(h[1]) and not np.isnan(np.delete(h, 1)).any()
+    assert str(entropy_bits([0.0, 1.0])) == "0.0"
+
+
 def test_binary_entropy_values():
     assert binary_entropy(0.0) == 0.0
     assert binary_entropy(1.0) == 0.0

@@ -268,8 +268,8 @@ def test_sweep_is_stable(capsys):
 
 
 def test_sweep_oracle_column_empty_over_limit(capsys):
-    # the F=8 orbit table is over the 2 GiB byte budget
-    assert run_cli(["sweep", "--preset", "z", "--p", "0.1", "--a", "0.5", "--F", "8"]) == 0
+    # the F=9 orbit partition is over the 2 GiB byte budget
+    assert run_cli(["sweep", "--preset", "z", "--p", "0.1", "--a", "0.5", "--F", "9"]) == 0
     line = capsys.readouterr().out.strip().split("\n")[1]
     fields = line.split(",")
     assert fields[5] == ""
@@ -338,15 +338,15 @@ def test_invalid_values_exit_1(capsys):
 
 
 def test_oracle_respects_the_byte_budget(capsys, monkeypatch):
-    # the erasure F=2 orbit table holds 4 likelihood rows plus the bound of 2 orbits, x 9
-    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 6 * 9 * capacity.TABLE_CELL_BYTES - 1)
+    # the erasure F=2 orbit partition is sized at S // F! = 2 // 2 = 1 orbit
+    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", capacity.ORBIT_BYTES - 1)
     args = ["oracle", "--preset", "erasure", "--p", "0.1", "--a", "0.5", "--F", "2"]
     assert run_cli(args) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: orbit table needs 6 x 9 cells")
+    assert captured.err.startswith(f"error: orbit partition needs 1 x {capacity.ORBIT_BYTES} bytes")
     assert captured.err.count("\n") == 1
-    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 6 * 9 * capacity.TABLE_CELL_BYTES)
+    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", capacity.ORBIT_BYTES)
     assert run_cli(args) == 0
     capsys.readouterr()
 

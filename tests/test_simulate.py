@@ -12,17 +12,17 @@ from reorderchan import (
     build_weighted_graph,
     channel_preset,
     decompose_paths,
+    lcm_binomials,
     run_monte_carlo,
     state_pmf,
     weight,
 )
-from reorderchan import simulate
+from reorderchan import frame_space, simulate
 from reorderchan.cli import fmt, run_cli
-from reorderchan.frame_space import output_string, symbol_string
+from reorderchan.frame_space import MAX_TABLE_BYTES, output_string, symbol_string
 from reorderchan.simulate import (
     FRAME_BYTES,
     GUIDE_BUCKETS,
-    MAX_FRAME_BYTES,
     NOISE_CHUNK,
     SLAB_CELLS,
     TRACE_CHUNK,
@@ -36,7 +36,7 @@ from reorderchan.simulate import (
     bit_field,
     csv_rows,
 )
-from reorderchan.strategy import strategy_table
+from reorderchan.strategy import STRATEGY_BYTES, strategy_table
 
 SET4 = decompose_paths(build_weighted_graph(4))
 
@@ -502,7 +502,7 @@ def test_trace_to_file_object_matches_trace_to_path(tmp_path):
 
 
 # each decimal width change a trace number passes: the largest frame index
-# MAX_FRAME_BYTES admits has 8 digits, and L - 1 at F = 16 (L = 720 720) has 6
+# MAX_TABLE_BYTES admits has 8 digits, and L - 1 at F = 16 (L = 720 720) has 6
 TRACE_NUMBERS = (0, 9, 10, 99, 100, 9_999, 10_000, 720_719, 99_999_999)
 
 
@@ -517,7 +517,7 @@ def _trace_numbers(rng, top, n):
 )
 def test_trace_kernel_equals_str_format(labels):
     # a NUL label is a byte that prints, so a kernel that strips NULs fails here
-    assert len(str(MAX_FRAME_BYTES // FRAME_BYTES - 1)) == 8
+    assert len(str(MAX_TABLE_BYTES // FRAME_BYTES - 1)) == 8
     F, J, n = 5, len(labels), 3000
     ch = BinaryInputChannel(np.full(J, 1 / J), np.full(J, 1 / J), labels)
     rng = np.random.default_rng(J)
@@ -569,7 +569,7 @@ def test_run_monte_carlo_refuses_oversized_draws():
     ch = channel_preset("bsc", 0.1)
     F = 6
     sset = decompose_paths(build_weighted_graph(F))
-    n_frames = MAX_FRAME_BYTES // FRAME_BYTES + 1
+    n_frames = MAX_TABLE_BYTES // FRAME_BYTES + 1
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=f"{n_frames} frames"):
@@ -580,9 +580,18 @@ def test_run_monte_carlo_refuses_oversized_draws():
     assert peak < 1 << 20
 
 
+def test_draws_read_the_one_ceiling(monkeypatch):
+    ch, cfg, n_frames = channel_preset("bsc", 0.1), FrameConfig(4, 0.5), 100
+    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", n_frames * FRAME_BYTES - 1)
+    with pytest.raises(ValueError, match=f"{n_frames} frames x {FRAME_BYTES} bytes"):
+        run_monte_carlo(ch, cfg, SET4, n_frames, 1)
+    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", n_frames * FRAME_BYTES)
+    assert run_monte_carlo(ch, cfg, SET4, n_frames, 1).frames == n_frames
+
+
 def test_simulate_cli_refuses_oversized_draws(capsys):
     F = 3
-    n_frames = MAX_FRAME_BYTES // FRAME_BYTES + 1
+    n_frames = MAX_TABLE_BYTES // FRAME_BYTES + 1
     argv = ["simulate", "--preset", "z", "--p", "0.1", "--a", "0.5", "--F", str(F)]
     assert run_cli(argv + ["--frames", str(n_frames)]) == 1
     captured = capsys.readouterr()
@@ -638,14 +647,15 @@ def test_simulate_cli_refuses_a_bad_trace_before_any_draw(monkeypatch, capsys, t
 
 
 # erasure F = 6 at 1 000 frames observes hundreds of outputs for 60 strategies,
-# so a ceiling the frames just fit under is too small for the joint histogram
+# so a ceiling the frames just fit under is too small for the joint histogram.
+# The one ceiling also sizes the set, so the library test builds it first
 JOINT_RUN = ("erasure", "0.2", "0.5", 6, 1000)
 
 
 def test_run_monte_carlo_refuses_an_oversized_joint(monkeypatch):
     preset, p, a, F, n_frames = JOINT_RUN
-    monkeypatch.setattr(simulate, "MAX_FRAME_BYTES", n_frames * FRAME_BYTES)
     sset = decompose_paths(build_weighted_graph(F))
+    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", n_frames * FRAME_BYTES)
     cfg = FrameConfig(F, float(a))
     with pytest.raises(ValueError, match="observed outputs"):
         run_monte_carlo(channel_preset(preset, float(p)), cfg, sset, n_frames, 1)
@@ -653,7 +663,10 @@ def test_run_monte_carlo_refuses_an_oversized_joint(monkeypatch):
 
 def test_simulate_cli_refuses_an_oversized_joint(monkeypatch, capsys):
     preset, p, a, F, n_frames = JOINT_RUN
-    monkeypatch.setattr(simulate, "MAX_FRAME_BYTES", n_frames * FRAME_BYTES)
+    # the CLI builds the set under the ceiling: L x STRATEGY_BYTES = 122 880 bytes at F = 6
+    limit = lcm_binomials(F) * STRATEGY_BYTES
+    assert limit >= n_frames * FRAME_BYTES
+    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", limit)
     argv = ["simulate", "--preset", preset, "--p", p, "--a", a, "--F", str(F)]
     assert run_cli(argv + ["--frames", str(n_frames)]) == 1
     captured = capsys.readouterr()

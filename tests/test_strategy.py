@@ -19,9 +19,10 @@ from reorderchan import (
     weight,
 )
 from reference import is_minimal, peel_paths, permutation_orbit
+from reorderchan import frame_space
 from reorderchan.capacity import _is_staircase_orbit
+from reorderchan.frame_space import MAX_TABLE_BYTES
 from reorderchan.strategy import (
-    MAX_SET_BYTES,
     STRATEGY_BYTES,
     LayeredGraph,
     covering_successors,
@@ -167,10 +168,19 @@ def test_decompose_rejects_inconsistent_weights():
 def test_graph_build_refuses_oversized_sets():
     # L jumps from 680 680 at F = 17 to 12 252 240 at F = 18
     for F in range(1, 18):
-        assert lcm_binomials(F) * STRATEGY_BYTES <= MAX_SET_BYTES
+        assert lcm_binomials(F) * STRATEGY_BYTES <= MAX_TABLE_BYTES
     for F in (18, 19, 20):
         with pytest.raises(ValueError, match=f"{lcm_binomials(F)} strategies"):
             build_weighted_graph(F)
+
+
+def test_graph_build_reads_the_one_ceiling(monkeypatch):
+    # L = 60 at F = 6, so the set needs 122 880 bytes
+    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 60 * STRATEGY_BYTES - 1)
+    with pytest.raises(ValueError, match="the F = 6 set of 60 strategies"):
+        build_weighted_graph(6)
+    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 60 * STRATEGY_BYTES)
+    assert build_weighted_graph(6).F == 6
 
 
 def test_decompose_is_deterministic():
