@@ -2,9 +2,9 @@
 
 Reproducibility contract: one PCG64 generator seeded from the report's seed
 drives state draws, strategy draws, and per-position channel noise, in that
-order, so a seed pins the whole trace on any platform. Noise is drawn in
-blocks of whole frames; `Generator.random` yields the same stream whether it
-is called once or block by block, so the block size moves no draw.
+order, so a seed pins the whole trace on any platform. Every draw is taken
+in blocks of whole frames; `Generator.random` yields the same stream whether
+it is called once or block by block, so the block size moves no draw.
 """
 
 import os
@@ -17,27 +17,32 @@ from .capacity import SLAB_CELLS, mutual_info_TY
 from .frame_space import likelihood_rows, mix_states, state_pmf
 from .strategy import strategy_table
 
-# Bytes a run holds per frame: the draws, the sent-symbol index, the output
-# and its rank among the outputs observed, the decoded strategy and the
-# histogram key. Outputs are ranked through a presence table only when it has
-# no more entries than there are frames, and by np.unique's sort otherwise.
-# The tracemalloc peak of a whole run is 51.5 bytes per frame at bsc F = 8
-# with 2e5 frames, and 48.0 at z F = 1 with 1e6 frames (numpy 2.4). The noise
-# block is a fixed size, and the decoder works in blocks of at most SLAB_CELLS
-# posterior cells. The joint histogram grows with the distinct outputs
-# observed, not with the frames, and is sized on its own against the ceiling.
-# The trace writer adds nothing per frame: it holds one TRACE_CHUNK of rows.
+# Bytes a run may hold per frame. It keeps three arrays of frame length: the
+# state draw (uint8), the strategy draw and the output, each in the narrowest
+# unsigned type that holds it, the output replaced in place by its rank among
+# the outputs observed. Every other stage works one noise block of frames at a
+# time, in buffers reused across blocks. Outputs are ranked through a presence
+# table when it has no more entries than there are frames, at most 13 bytes a
+# frame, and by np.unique's sort otherwise, whose own peak is 29.1, 34.8 and
+# 44.6 bytes an output on uint16, uint32 and 64-bit outputs. The tracemalloc
+# peak of a whole run of 1e6 frames is 6.3 bytes per frame at z F = 1, 6.0 at
+# bsc F = 8 and 7.7 at erasure F = 7 (numpy 2.4); on the sort, 52 at erasure
+# F = 12 with one strategy and 2e5 frames. The decoder works in blocks
+# of at most SLAB_CELLS posterior cells. The joint histogram grows with the
+# distinct outputs observed, not with the frames, and is sized on its own
+# against the ceiling. The trace writer holds one TRACE_CHUNK of rows.
 # n_frames x FRAME_BYTES above frame_space.MAX_TABLE_BYTES is refused before any
 # draw, and so is a joint histogram of more bytes than that before it is counted.
 FRAME_BYTES = 80
-# noise uniforms drawn per block, whole frames at a time: 512 KiB of float64
+# noise uniforms drawn per block, whole frames at a time: 512 KiB of float64.
+# Every per-frame stage works in blocks of the same number of frames
 NOISE_CHUNK = 1 << 16
 # least number of guide-table buckets in _draw_index, 32 KiB of intp starts
 GUIDE_BUCKETS = 1 << 12
 # rows per trace write. A chunk's fields, byte matrix, keep mask and text take
 # about 150 bytes a row, 1.2 MiB at erasure F = 6 (26-byte rows), and are made
 # after the noise and decoder buffers are freed: a traced erasure F = 6 run of
-# 2e5 frames peaks about 0.1 MB above an untraced one, by tracemalloc.
+# 2e5 frames peaks no higher than an untraced one, 2.8 MB by tracemalloc.
 # `construct` prints its rows in chunks of the same size
 TRACE_CHUNK = 1 << 13
 # posteriors within this relative distance of an output's top count as tied with it
@@ -55,37 +60,45 @@ class SimReport:
     seed: int
 
 
-def _draw_index(pmf, u):
-    """min(searchsorted(cumsum(pmf), u, "right"), len(pmf) - 1) through a guide table.
+def _draw_index(pmf, rng, out, block):
+    """out[i] = min(searchsorted(cumsum(pmf), u_i, "right"), len(pmf) - 1), through a guide table.
 
-    Bucket k of max(len(pmf), GUIDE_BUCKETS) equal buckets starts the walk at
-    the answer for the bucket edge one bucket back, so rounding in u * buckets
-    cannot start it past the answer. A draw starts short only when a cum value
-    lies between that edge and u, which for len(pmf) well under the bucket
-    count is about 1.5 len(pmf) / buckets of the draws. Only those walk,
-    stepping while cum[idx] <= u; the last entry is +inf, which both stops
-    the walk and clamps to len(pmf) - 1.
+    u_i is the i-th uniform of rng, drawn block at a time into one reused
+    buffer, which is the stream of one rng.random(len(out)) call. Bucket k of
+    max(len(pmf), GUIDE_BUCKETS) equal buckets starts the walk at the answer
+    for the bucket edge one bucket back, so rounding in u * buckets cannot
+    start it past the answer. A draw starts short only when a cum value lies
+    between that edge and u, which for len(pmf) well under the bucket count
+    is about 1.5 len(pmf) / buckets of the draws. Only those walk, stepping
+    while cum[idx] <= u; the last entry is +inf, which both stops the walk
+    and clamps to len(pmf) - 1.
     """
     cum = np.cumsum(pmf)
     cum[-1] = np.inf
     buckets = max(len(cum), GUIDE_BUCKETS)
     start = np.searchsorted(cum, np.arange(-1, buckets) / buckets, side="right")
-    idx = start[(u * buckets).astype(np.intp)]
-    late = np.flatnonzero(cum[idx] <= u)
-    while late.size:
-        idx[late] += 1
-        late = late[cum[idx[late]] <= u[late]]
-    return idx
+    u_buf = np.empty(min(block, len(out)))
+    for lo in range(0, len(out), block):
+        dst = out[lo : lo + block]
+        u = rng.random(out=u_buf[: len(dst)])
+        idx = start[(u * buckets).astype(np.intp)]
+        late = np.flatnonzero(cum[idx] <= u)
+        while late.size:
+            idx[late] += 1
+            late = late[cum[idx[late]] <= u[late]]
+        dst[:] = idx
+    return out
 
 
-def _noisy_outputs(rng, channel, F, used, xi):
-    """Base-J channel output of each frame's sent symbol used[xi], noise from rng.
+def _noisy_outputs(rng, channel, F, used, rep_idx, s_draw, t_draw, out, block):
+    """Fill out[i] with the base-J channel output of frame i's sent symbol, noise from rng.
 
-    Position f of a frame reads letter min(searchsorted(cum[bit], u, "right"),
-    J - 1), where bit is the sent bit there, cum the channel's cumulative rows
-    and u the frame's f-th uniform: the count of thresholds cum[bit, j],
-    j < J - 1, that u reaches. Uniforms come from rng.random in blocks of
-    whole frames.
+    Frame i sends used[rep_idx[t_draw[i], s_draw[i]]]. Position f of a frame
+    reads letter min(searchsorted(cum[bit], u, "right"), J - 1), where bit is
+    the sent bit there, cum the channel's cumulative rows and u the frame's
+    f-th uniform: the count of thresholds cum[bit, j], j < J - 1, that u
+    reaches. Uniforms come from rng block frames at a time, into buffers
+    reused across blocks.
     """
     J = channel.J
     cum = np.cumsum(channel.matrix(), axis=1)
@@ -94,29 +107,54 @@ def _noisy_outputs(rng, channel, F, used, xi):
     thresholds = [cum[:, j][bit_table] for j in range(J - 1)]
     # letters @ place is the output's value in float64, exact as J**F <= 3**20 < 2**53
     place = float(J) ** np.arange(F - 1, -1, -1)
-    y = np.empty(len(xi), dtype=np.int64)
-    block = max(1, NOISE_CHUNK // F)
-    for lo in range(0, len(xi), block):
-        xi_block = xi[lo : lo + block]
-        u = rng.random((len(xi_block), F))
-        letters = np.zeros(u.shape, dtype=np.uint8)
-        for thr in thresholds:
-            letters += u >= thr.take(xi_block, axis=0)
-        y[lo : lo + block] = letters @ place
-    return y
+    # frame i's index into used is flat_idx[t_draw[i] * n_states + s_draw[i]]
+    flat_idx, n_states = rep_idx.ravel(), rep_idx.shape[1]
+    rows = min(block, len(out))
+    key_buf, xi_buf = np.empty(rows, dtype=np.intp), np.empty(rows, dtype=np.intp)
+    u_buf, thr_buf = np.empty((rows, F)), np.empty((rows, F))
+    hit_buf, letters_buf = np.empty((rows, F), dtype=bool), np.empty((rows, F), dtype=np.uint8)
+    for lo in range(0, len(out), block):
+        dst = out[lo : lo + block]
+        key, xi, thr = key_buf[: len(dst)], xi_buf[: len(dst)], thr_buf[: len(dst)]
+        hit, letters = hit_buf[: len(dst)], letters_buf[: len(dst)]
+        key[:] = t_draw[lo : lo + block]
+        key *= n_states
+        key += s_draw[lo : lo + block]
+        # every index is in range; mode="clip" writes straight into out, where
+        # the default mode copies it first
+        flat_idx.take(key, out=xi, mode="clip")
+        u = rng.random(out=u_buf[: len(dst)])
+        letters[:] = 0
+        for thr_j in thresholds:
+            thr_j.take(xi, axis=0, out=thr, mode="clip")
+            letters += np.greater_equal(u, thr, out=hit)
+        dst[:] = letters @ place
+    return out
 
 
-def _rank_outputs(y, n_outputs):
-    """np.unique(y, return_inverse=True) for outputs y in range(n_outputs).
+def _rank_outputs(y, n_outputs, block):
+    """Replace outputs y in range(n_outputs) by their rank; return the distinct outputs, int64.
 
-    With no more possible outputs than frames, a presence table ranks them in
-    two linear passes; past that the table would outgrow the per-frame
-    arrays, and np.unique sorts instead.
+    The same as np.unique(y, return_inverse=True), with y overwritten by the
+    inverse. With no more possible outputs than frames, a presence table
+    ranks them in two passes of block frames each; past that the table would
+    outgrow the per-frame arrays, and np.unique sorts instead.
     """
     if n_outputs > len(y):
-        return np.unique(y, return_inverse=True)
-    seen = np.bincount(y, minlength=n_outputs) > 0
-    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[y]
+        uniq, inverse = np.unique(y, return_inverse=True)
+        y[:] = inverse
+        return uniq.astype(np.int64)
+    seen = np.zeros(n_outputs, dtype=bool)
+    for lo in range(0, len(y), block):
+        seen[y[lo : lo + block].astype(np.intp)] = True  # faster than a narrow index
+    # counted modulo the range of y's type, which holds every rank; an
+    # output never seen gets rank -1, wrapped, and no frame looks it up
+    rank = np.cumsum(seen, dtype=y.dtype)
+    rank -= 1
+    for lo in range(0, len(y), block):
+        part = y[lo : lo + block]
+        part[:] = rank.take(part)
+    return np.flatnonzero(seen)
 
 
 def _decode_observed(sset, channel, config, pmf_s, used, rep_idx, uniq_y):
@@ -143,6 +181,52 @@ def _decode_observed(sset, channel, config, pmf_s, used, rep_idx, uniq_y):
     return t_hat
 
 
+def _count_joint(t_hat, t_draw, y_rank, n_t, block):
+    """(symbol errors, joint counts) over the frames, block frames at a time.
+
+    A frame is an error when t_hat[y_rank] differs from its strategy t_draw.
+    The counts are int64, one per (strategy, observed output) cell in
+    row-major order over n_t rows of len(t_hat) columns, each block's keys
+    t * len(t_hat) + y_rank added in through one reused buffer.
+    """
+    n_y = len(t_hat)
+    counts = np.zeros(n_t * n_y, dtype=np.int64)
+    key_buf = np.empty(min(block, len(t_draw)), dtype=np.int64)
+    errors = 0
+    for lo in range(0, len(t_draw), block):
+        t, y = t_draw[lo : lo + block], y_rank[lo : lo + block]
+        errors += int(np.count_nonzero(t_hat.take(y) != t))
+        key = key_buf[: len(t)]
+        key[:] = t
+        key *= n_y
+        key += y
+        np.add.at(counts, key, 1)
+    return errors, counts
+
+
+def _plug_in_mi(counts, n_t, n_frames, block):
+    """Plug-in I(T;Y) in bits of the joint counts, which are overwritten by their float64 law.
+
+    The law is counts / n_frames in the counts' own memory. The terms
+    p * log2(p / (pt * py)) are taken over the nonzero cells in row-major
+    order, block cells at a time, and added by one np.sum, so the bits are
+    those of the same sum over np.nonzero of the whole law.
+    """
+    joint = counts.view(np.float64)
+    for lo in range(0, len(counts), block):
+        joint[lo : lo + block] = counts[lo : lo + block] / n_frames
+    joint = joint.reshape(n_t, -1)
+    pt = joint.sum(axis=1)
+    py = joint.sum(axis=0)
+    nonzero = np.flatnonzero(joint)
+    terms = np.empty(len(nonzero))
+    for lo in range(0, len(nonzero), block):
+        ti, yi = np.divmod(nonzero[lo : lo + block], joint.shape[1])
+        p_ty = joint[ti, yi]
+        terms[lo : lo + block] = p_ty * np.log2(p_ty / (pt[ti] * py[yi]))
+    return float(np.sum(terms))
+
+
 def _four_digits():
     """(text, shown) uint32 tables of 0..9 999, one byte per decimal digit.
 
@@ -158,7 +242,7 @@ def _four_digits():
 
 
 def _digit_field(values, top, tables):
-    """(bytes, keep) field of nonnegative ints up to top, in decimal.
+    """(bytes, keep) field of nonnegative ints of any integer type up to top, in decimal.
 
     bytes holds each value zero-padded to the width of top and keep marks its
     printed digits, both looked up four digits at a time in `_four_digits`
@@ -167,7 +251,7 @@ def _digit_field(values, top, tables):
     """
     text, shown = tables
     width = len(str(top))
-    words, keep, rest = [], [], values
+    words, keep, rest = [], [], values.astype(np.int64, copy=False)
     for g in range(-(-width // 4)):  # least significant four digits first
         high = rest // 10_000
         low = rest - high * 10_000
@@ -249,6 +333,11 @@ def run_monte_carlo(channel, config, sset, n_frames, seed, trace=None):
     near n: at erasure F = 8 with 1e5 frames it overshoots the exact rate by
     about 0.9 bits. Pass trace as a path or file object to dump per-frame
     records.
+
+    The run keeps three arrays of frame length, the state draw, the strategy
+    draw and the ranked output, in their narrowest unsigned types; every other
+    stage, the decoded strategies and the joint keys included, works one
+    block of frames at a time. See FRAME_BYTES for the measured peak.
     """
     F, J = config.F, channel.J
     if sset.F != F:
@@ -268,33 +357,27 @@ def run_monte_carlo(channel, config, sset, n_frames, seed, trace=None):
     rng = np.random.Generator(np.random.PCG64(seed))
     pmf_s = state_pmf(config)
     n_t = len(sset)
+    block = max(1, NOISE_CHUNK // F)  # frames per block in every per-frame stage
 
-    s_draw = _draw_index(pmf_s, rng.random(n_frames))
-    t_draw = _draw_index(sset.pmf, rng.random(n_frames))
+    s_draw = _draw_index(pmf_s, rng, np.empty(n_frames, dtype=np.uint8), block)
+    t_draw = _draw_index(sset.pmf, rng, np.empty(n_frames, np.min_scalar_type(n_t - 1)), block)
     used, rep_idx = strategy_table(sset)
-    xi = rep_idx[t_draw, s_draw]
-
-    uniq_y, inverse = _rank_outputs(_noisy_outputs(rng, channel, F, used, xi), J**F)
-    # the joint histogram holds int64 counts and their float copy, 16 bytes a
-    # cell, then 48 bytes of index and ratio arrays per nonzero cell; 25 a
-    # cell covers them while about a third of the cells or fewer are observed
+    y_rank = np.empty(n_frames, dtype=np.min_scalar_type(J**F - 1))
+    _noisy_outputs(rng, channel, F, used, rep_idx, s_draw, t_draw, y_rank, block)
+    uniq_y = _rank_outputs(y_rank, J**F, block)
+    # the joint histogram holds int64 counts, overwritten by their float law,
+    # 8 bytes a cell, then 16 bytes of index and term per nonzero cell and
+    # blocks of a fixed size; 25 a cell covers them with every cell observed
     cells = n_t * len(uniq_y)
     if cells * 25 > limit:
         raise ValueError(
             f"{n_t} strategies x {len(uniq_y)} observed outputs x 25 bytes per cell "
             f"exceed {limit} bytes"
         )
-    t_hat = _decode_observed(sset, channel, config, pmf_s, used, rep_idx, uniq_y)[inverse]
-    symbol_errors = int(np.sum(t_hat != t_draw))
-
-    joint = np.bincount(
-        t_draw.astype(np.int64) * len(uniq_y) + inverse, minlength=cells
-    ).reshape(n_t, len(uniq_y)) / n_frames
-    pt = joint.sum(axis=1)
-    py = joint.sum(axis=0)
-    ti, yi = np.nonzero(joint)
-    p_ty = joint[ti, yi]
-    empirical = float(np.sum(p_ty * np.log2(p_ty / (pt[ti] * py[yi]))))
+    t_hat = _decode_observed(sset, channel, config, pmf_s, used, rep_idx, uniq_y)
+    symbol_errors, counts = _count_joint(t_hat, t_draw, y_rank, n_t, block)
+    empirical = _plug_in_mi(counts, n_t, n_frames, block)
+    del counts  # the joint law, freed before the trace chunks are built
 
     analytical = mutual_info_TY(channel, config, sset).i_ty
 
@@ -307,16 +390,16 @@ def run_monte_carlo(channel, config, sset, n_frames, seed, trace=None):
             tables = _four_digits()
             for lo in range(0, n_frames, TRACE_CHUNK):
                 part = slice(lo, lo + TRACE_CHUNK)
-                y_i = inverse[part]
+                s, t, y_i = s_draw[part], t_draw[part], y_rank[part]
                 y_keep_part = None if y_keep is None else y_keep.take(y_i, axis=0)
                 frame = np.arange(lo, min(lo + TRACE_CHUNK, n_frames))
                 fields = [
                     _digit_field(frame, n_frames - 1, tables),
-                    _digit_field(s_draw[part], F, tables),
-                    _digit_field(t_draw[part], n_t - 1, tables),
-                    (x_bytes.take(xi[part], axis=0), None),
+                    _digit_field(s, F, tables),
+                    _digit_field(t, n_t - 1, tables),
+                    (x_bytes.take(rep_idx[t, s], axis=0), None),
                     (y_bytes.take(y_i, axis=0), y_keep_part),
-                    _digit_field(t_hat[part], n_t - 1, tables),
+                    _digit_field(t_hat[y_i], n_t - 1, tables),
                 ]
                 fh.write(csv_rows(fields))
         finally:

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -114,7 +115,10 @@ def test_draw_index_equals_searchsorted():
         sizes |= 1 << (len(pmf) > GUIDE_BUCKETS)
         u = _draw_points(cum)
         want = np.minimum(np.searchsorted(cum, u, side="right"), len(pmf) - 1)
-        assert np.array_equal(_draw_index(pmf, u), want), pmf
+        # in the run's narrowest index type, 1 000 draws a block, so the last block is a part one
+        rng, out = _ReplayedUniforms(u), np.empty(len(u), dtype=np.min_scalar_type(len(pmf) - 1))
+        assert np.array_equal(_draw_index(pmf, rng, out, 1000), want), pmf
+        assert rng.used == len(u)
     assert ends_below_one > 0
     assert sizes == 0b11  # pmfs shorter and longer than the guide table
 
@@ -137,16 +141,20 @@ def test_rank_outputs_equals_np_unique(monkeypatch, J, F):
         sorts.append(args)
         return real_unique(*args, **kwargs)
 
-    for y in cases:
+    for y, block in itertools.product(cases, (1, 7, NOISE_CHUNK)):
         want_uniq, want_inverse = real_unique(y, return_inverse=True)
+        # the run's output array: the narrowest unsigned type, overwritten by the ranks
+        inverse = y.astype(np.min_scalar_type(n_outputs - 1))
         sorts.clear()
         with monkeypatch.context() as patch:
             patch.setattr(np, "unique", counted_unique)
-            uniq, inverse = _rank_outputs(y, n_outputs)
+            uniq = _rank_outputs(inverse, n_outputs, block)
         # np.unique sorts only where the presence table would outgrow the frames
         assert len(sorts) == (n_outputs > len(y))
         assert np.array_equal(uniq, want_uniq) and uniq.dtype == want_uniq.dtype
-        assert np.array_equal(inverse, want_inverse) and inverse.dtype == want_inverse.dtype
+        assert np.array_equal(inverse, want_inverse) and inverse.dtype == np.min_scalar_type(
+            n_outputs - 1
+        )
 
 
 def _decode_all(sset, ch, cfg, ys):
@@ -441,16 +449,17 @@ def test_noise_matches_the_reference_transmit(name, n_frames):
 
 
 class _ReplayedUniforms:
-    """Stands in for the run's generator: random(shape) hands out the given rows in order."""
+    """Stands in for the run's generator: random(out=buf) fills buf with the given rows in order."""
 
     def __init__(self, u):
         self.u, self.used = u, 0
 
-    def random(self, shape):
-        rows = self.u[self.used : self.used + shape[0]]
-        self.used += shape[0]
-        assert rows.shape == shape
-        return rows
+    def random(self, out):
+        rows = self.u[self.used : self.used + len(out)]
+        self.used += len(out)
+        assert rows.shape == out.shape
+        out[...] = rows
+        return out
 
 
 # q0's cumsum ends at 1 - 5e-13, so uniforms above it must clamp to letter J - 1
@@ -458,12 +467,10 @@ SHORT_ROW = BinaryInputChannel((0.5, 0.3, 0.2 - 5e-13), (0.2, 0.3, 0.5), "xyz")
 
 
 @pytest.mark.parametrize("name", ["bsc", "z", "erasure", "short_row", "four_letters"])
-def test_noise_stage_matches_a_per_position_loop(monkeypatch, name):
+def test_noise_stage_matches_a_per_position_loop(name):
     short = {"short_row": SHORT_ROW, "four_letters": FOUR_LETTERS}
     ch = short.get(name) or channel_preset(name, 0.3)
     F, n_frames = 4, 500
-    # three frames per block, so the run ends on a part block
-    monkeypatch.setattr(simulate, "NOISE_CHUNK", 3 * F)
     cum = np.cumsum(ch.matrix(), axis=1)
     rng = np.random.default_rng(29)
     edges = np.concatenate([cum.ravel(), [0.0, 1 - 2.0**-45, np.nextafter(1.0, 0)]])
@@ -475,7 +482,13 @@ def test_noise_stage_matches_a_per_position_loop(monkeypatch, name):
         assert cum[0, -1] < 1.0 and (u >= cum[0, -1]).any()
     used = np.arange(1 << F)
     xi = rng.integers(0, len(used), n_frames)
-    y = _noisy_outputs(_ReplayedUniforms(u), ch, F, used, xi)
+    # frame i sends used[xi[i]] as strategy i's one representative; three frames
+    # per block, so the stage ends on a part block
+    rng, rep_idx = _ReplayedUniforms(u), xi[:, None]
+    t_draw, s_draw = np.arange(n_frames), np.zeros(n_frames, dtype=np.uint8)
+    y = np.empty(n_frames, dtype=np.min_scalar_type(ch.J**F - 1))
+    _noisy_outputs(rng, ch, F, used, rep_idx, s_draw, t_draw, y, 3)
+    assert rng.used == n_frames
     want = []
     for i in range(n_frames):
         value = 0
@@ -689,3 +702,20 @@ def test_run_monte_carlo_memory_is_bounded_per_frame():
         tracemalloc.stop()
     assert peak < 100 * n_frames
     assert peak < FRAME_BYTES * n_frames
+
+
+@pytest.mark.parametrize(("preset", "F"), [("bsc", 8), ("erasure", 7)])
+def test_run_monte_carlo_holds_compact_frames(preset, F):
+    # the state draw, the strategy draw and the ranked output are the only
+    # per-frame arrays, each in its narrowest unsigned type: 1 + 2 + 1 bytes a
+    # frame at bsc F = 8 and 1 + 1 + 2 at erasure F = 7, the rest in blocks
+    ch, cfg = channel_preset(preset, 0.2), FrameConfig(F, 0.5)
+    sset = decompose_paths(build_weighted_graph(F))
+    n_frames = 10**6
+    tracemalloc.start()
+    try:
+        run_monte_carlo(ch, cfg, sset, n_frames, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n_frames

@@ -329,3 +329,36 @@ def test_strategy_table_indexes_used_symbols():
         assert np.array_equal(sset.reps, [m.reps for m in sset.multisymbols])
         assert np.array_equal(used[rep_idx], sset.reps)
         assert used.tolist() == sorted({x for m in sset.multisymbols for x in m.reps})
+
+
+def test_strategy_table_skips_the_sort_when_every_symbol_is_sent(monkeypatch):
+    # a general set that never sends one symbol of each inner weight class
+    F, rng = 6, np.random.default_rng(31)
+    classes = [enumerate_weight_class(F, s) for s in range(F + 1)]
+    for s in range(1, F):
+        classes[s].pop(int(rng.integers(len(classes[s]))))
+    general = np.array([[c[int(rng.integers(len(c)))] for c in classes] for _ in range(40)])
+    pmf = rng.dirichlet(np.ones(40))
+    constructed = [decompose_paths(build_weighted_graph(F)) for F in range(1, 13)]
+    twice = StrategySet((STAIR3, STAIR3), (0.5, 0.5))
+    others = [permutation_set(3), StrategySet(general, pmf), twice]
+    real_unique = np.unique
+    sorts = []
+
+    def counted_unique(*args, **kwargs):
+        sorts.append(args)
+        return real_unique(*args, **kwargs)
+
+    for sset in constructed + others:
+        want_used, want_idx = real_unique(sset.reps, return_inverse=True)
+        want_idx = want_idx.reshape(sset.reps.shape)
+        sorts.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "unique", counted_unique)
+            used, rep_idx = strategy_table(sset)
+        every = len(want_used) == 1 << sset.F
+        assert every or sset not in constructed
+        assert len(sorts) == (not every)
+        assert np.array_equal(used, want_used) and used.dtype == want_used.dtype
+        assert np.array_equal(rep_idx, want_idx) and rep_idx.dtype == want_idx.dtype
+    assert [len(strategy_table(s)[0]) < 1 << s.F for s in others] == [False, True, True]
