@@ -21,21 +21,23 @@ from .strategy import strategy_table
 # state draw (uint8), the strategy draw and the output, each in the narrowest
 # unsigned type that holds it, the output replaced in place by its rank among
 # the outputs observed. Every other stage works one noise block of frames at a
-# time, in buffers reused across blocks. Outputs are ranked through a presence
-# table when it has no more entries than there are frames, at most 13 bytes a
-# frame, and by np.unique's sort otherwise, whose own peak is 29.1, 34.8 and
-# 44.6 bytes an output on uint16, uint32 and 64-bit outputs. The tracemalloc
-# peak of a whole run of 1e6 frames is 6.3 bytes per frame at z F = 1, 6.0 at
-# bsc F = 8 and 7.7 at erasure F = 7 (numpy 2.4); on the sort, 52 at erasure
-# F = 12 with one strategy and 2e5 frames. The decoder works in blocks
-# of at most SLAB_CELLS posterior cells. The joint histogram grows with the
+# time, in buffers reused across blocks; the joint counts take steps of at
+# least as many frames as the histogram has cells. Outputs are ranked through
+# a presence table when it has no more entries than there are frames, at most
+# 13 bytes a frame, and by np.unique's sort otherwise, whose own peak is 29.1,
+# 34.8 and 44.6 bytes an output on uint16, uint32 and 64-bit outputs. The
+# tracemalloc peak of a whole run of 1e6 frames is 6.3 bytes per frame at
+# z F = 1, 6.0 at bsc F = 8 and 9.6 at erasure F = 7 (numpy 2.4); on the sort,
+# 52 at erasure F = 12 with one strategy and 2e5 frames. The decoder works in
+# blocks of at most SLAB_CELLS posterior cells. The joint histogram grows with the
 # distinct outputs observed, not with the frames, and is sized on its own
 # against the ceiling. The trace writer holds one TRACE_CHUNK of rows.
 # n_frames x FRAME_BYTES above frame_space.MAX_TABLE_BYTES is refused before any
 # draw, and so is a joint histogram of more bytes than that before it is counted.
 FRAME_BYTES = 80
 # noise uniforms drawn per block, whole frames at a time: 512 KiB of float64.
-# Every per-frame stage works in blocks of the same number of frames
+# Every per-frame stage works in blocks of the same number of frames, or of
+# the joint histogram's cells where they are more
 NOISE_CHUNK = 1 << 16
 # least number of guide-table buckets in _draw_index, 32 KiB of intp starts
 GUIDE_BUCKETS = 1 << 12
@@ -182,25 +184,33 @@ def _decode_observed(sset, channel, config, pmf_s, used, rep_idx, uniq_y):
 
 
 def _count_joint(t_hat, t_draw, y_rank, n_t, block):
-    """(symbol errors, joint counts) over the frames, block frames at a time.
+    """(symbol errors, joint counts) over the frames, in steps of max(block, cells) frames.
 
     A frame is an error when t_hat[y_rank] differs from its strategy t_draw.
     The counts are int64, one per (strategy, observed output) cell in
-    row-major order over n_t rows of len(t_hat) columns, each block's keys
-    t * len(t_hat) + y_rank added in through one reused buffer.
+    row-major order over n_t rows of len(t_hat) columns. Each step's keys
+    t * len(t_hat) + y_rank are written into one reused intp buffer, which
+    np.bincount reads without the intp copy it makes of a narrower type. A
+    step spans at least as many frames as there are cells, so the cells pass
+    of each np.bincount costs no more than its keys.
     """
     n_y = len(t_hat)
-    counts = np.zeros(n_t * n_y, dtype=np.int64)
-    key_buf = np.empty(min(block, len(t_draw)), dtype=np.int64)
+    cells = n_t * n_y
+    step = max(block, cells)
+    key_buf = np.empty(min(step, len(t_draw)), dtype=np.intp)
     errors = 0
-    for lo in range(0, len(t_draw), block):
-        t, y = t_draw[lo : lo + block], y_rank[lo : lo + block]
-        errors += int(np.count_nonzero(t_hat.take(y) != t))
+    for lo in range(0, len(t_draw), step):
+        t, y = t_draw[lo : lo + step], y_rank[lo : lo + step]
         key = key_buf[: len(t)]
+        t_hat.take(y, out=key, mode="clip")
+        errors += int(np.count_nonzero(key != t))
         key[:] = t
         key *= n_y
         key += y
-        np.add.at(counts, key, 1)
+        if lo == 0:  # no zeroed array to add the first step into
+            counts = np.bincount(key, minlength=cells)
+        else:
+            counts += np.bincount(key, minlength=cells)
     return errors, counts
 
 
@@ -337,7 +347,8 @@ def run_monte_carlo(channel, config, sset, n_frames, seed, trace=None):
     The run keeps three arrays of frame length, the state draw, the strategy
     draw and the ranked output, in their narrowest unsigned types; every other
     stage, the decoded strategies and the joint keys included, works one
-    block of frames at a time. See FRAME_BYTES for the measured peak.
+    block of frames at a time, the joint keys in blocks no shorter than the
+    histogram. See FRAME_BYTES for the measured peak.
     """
     F, J = config.F, channel.J
     if sset.F != F:
@@ -365,9 +376,11 @@ def run_monte_carlo(channel, config, sset, n_frames, seed, trace=None):
     y_rank = np.empty(n_frames, dtype=np.min_scalar_type(J**F - 1))
     _noisy_outputs(rng, channel, F, used, rep_idx, s_draw, t_draw, y_rank, block)
     uniq_y = _rank_outputs(y_rank, J**F, block)
-    # the joint histogram holds int64 counts, overwritten by their float law,
-    # 8 bytes a cell, then 16 bytes of index and term per nonzero cell and
-    # blocks of a fixed size; 25 a cell covers them with every cell observed
+    # the joint histogram holds int64 counts, 8 bytes a cell. While they are
+    # counted, a key buffer of up to a cell's 8 bytes and one np.bincount of
+    # the cells join them; then the counts are overwritten by their float law,
+    # and 16 bytes of index and term per nonzero cell and blocks of a fixed
+    # size follow. 25 a cell covers either stage with every cell observed
     cells = n_t * len(uniq_y)
     if cells * 25 > limit:
         raise ValueError(

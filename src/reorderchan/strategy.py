@@ -242,14 +242,12 @@ def strategy_table(sset):
     """(used, rep_idx): the distinct symbols of the set's table and its rows as indexes.
 
     used lists the symbols any strategy sends, ascending, and rep_idx indexes
-    into it, so used[rep_idx] == sset.reps. A set that sends every symbol, as
-    the constructed set does, needs no sort: used is arange(2^F) and rep_idx
-    the table itself, the arrays np.unique would return.
+    into it, so used[rep_idx] == sset.reps. Both come from a presence table
+    of the 2^F symbols, with no sort, and equal np.unique's arrays and dtypes.
     """
-    if np.bincount(sset.reps.ravel(), minlength=1 << sset.F).all():
-        return np.arange(1 << sset.F, dtype=sset.reps.dtype), sset.reps
-    used, rep_idx = np.unique(sset.reps, return_inverse=True)
-    return used, rep_idx.reshape(sset.reps.shape)
+    seen = np.bincount(sset.reps.ravel(), minlength=1 << sset.F) > 0
+    used = np.flatnonzero(seen).astype(sset.reps.dtype)
+    return used, (np.cumsum(seen) - 1)[sset.reps]
 
 
 def induced_input_pmf(sset, config):

@@ -331,7 +331,7 @@ def test_strategy_table_indexes_used_symbols():
         assert used.tolist() == sorted({x for m in sset.multisymbols for x in m.reps})
 
 
-def test_strategy_table_skips_the_sort_when_every_symbol_is_sent(monkeypatch):
+def test_strategy_table_equals_np_unique_without_a_sort(monkeypatch):
     # a general set that never sends one symbol of each inner weight class
     F, rng = 6, np.random.default_rng(31)
     classes = [enumerate_weight_class(F, s) for s in range(F + 1)]
@@ -345,20 +345,22 @@ def test_strategy_table_skips_the_sort_when_every_symbol_is_sent(monkeypatch):
     real_unique = np.unique
     sorts = []
 
-    def counted_unique(*args, **kwargs):
-        sorts.append(args)
-        return real_unique(*args, **kwargs)
+    def counted(name, real):
+        def call(*args, **kwargs):
+            sorts.append(name)
+            return real(*args, **kwargs)
+
+        return call
 
     for sset in constructed + others:
         want_used, want_idx = real_unique(sset.reps, return_inverse=True)
         want_idx = want_idx.reshape(sset.reps.shape)
-        sorts.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(np, "unique", counted_unique)
+            for name in ("unique", "sort", "argsort"):
+                patch.setattr(np, name, counted(name, getattr(np, name)))
             used, rep_idx = strategy_table(sset)
-        every = len(want_used) == 1 << sset.F
-        assert every or sset not in constructed
-        assert len(sorts) == (not every)
+        assert sorts == []
         assert np.array_equal(used, want_used) and used.dtype == want_used.dtype
         assert np.array_equal(rep_idx, want_idx) and rep_idx.dtype == want_idx.dtype
+    # the sets beyond the constructed ones include two that miss symbols
     assert [len(strategy_table(s)[0]) < 1 << s.F for s in others] == [False, True, True]
