@@ -145,8 +145,8 @@ def _output_entropies(channel, F, pmf_s, reps, pmf_t=None, p_x=None):
     for lo in range(0, n_pre, span):
         a = A[:, lo : lo + span]
         mix = 0.0
-        # one buffer holds every block of laws, freed before the mixture's entropy; a fresh
-        # array per block, freed before the next product, doubled the time at erasure F = 8
+        # one buffer holds every block of laws (one per block doubled the time at erasure F = 8)
+        # and entropy_bits takes their terms in 512 KiB chunks, so no call ends in a heap trim
         block = np.empty((min(step, len(reps)), a.shape[1], width))
         for t in range(0, len(reps), step):
             x = slice(t, t + step)

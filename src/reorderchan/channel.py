@@ -7,22 +7,37 @@ import numpy as np
 ROW_SUM_TOL = 1e-12
 
 PRESET_KINDS = ("erasure", "bsc", "z")
+# float64 cells of the scratch a matrix's row entropies go through: 512 KiB. Taken whole, a 1 MiB
+# law block's 1 MiB of terms got the heap trimmed after each call: about 460 faults, in chunks 0-5
+ENTROPY_CELLS = 1 << 16
 
 
 def entropy_bits(pmf):
     """Shannon entropy in bits, 0 log 0 = 0, of a vector or of each row of a matrix.
 
-    The p log p terms need no mask: log2 of max(p, 5e-324), the smallest
-    subnormal, is finite, so a zero cell gives a zero term, every p > 0 keeps
-    its own, and a NaN cell gives NaN.
+    A matrix of more than ENTROPY_CELLS cells goes a chunk of whole rows at a time through
+    one scratch array (a longer row alone), each row's entropy bit for bit as if taken whole.
     """
     p = np.asarray(pmf, dtype=float)
-    terms = np.maximum(p, 5e-324)
+    if p.ndim == 2 and p.size > ENTROPY_CELLS:
+        step = max(1, ENTROPY_CELLS // p.shape[1])
+        scratch = np.empty((step, p.shape[1]))
+        parts = (p[lo : lo + step] for lo in range(0, len(p), step))
+        return np.concatenate([_row_entropies(part, scratch[: len(part)]) for part in parts])
+    h = _row_entropies(p)
+    return h if p.ndim == 2 else float(h + 0.0)  # + 0.0: a degenerate vector is not -0.0
+
+
+def _row_entropies(p, out=None):
+    """-sum p log2 p along the last axis, with the terms written to out if it is given.
+
+    They need no mask: log2 of max(p, 5e-324), the smallest subnormal, is finite, so
+    a zero cell gives a zero term, every p > 0 keeps its own, and a NaN cell gives NaN.
+    """
+    terms = np.maximum(p, 5e-324, out=out)
     np.log2(terms, out=terms)
     terms *= p
-    h = -terms.sum(axis=-1)
-    # adding 0.0 keeps a degenerate vector from printing as -0.0
-    return h if p.ndim == 2 else float(h + 0.0)
+    return -terms.sum(axis=-1)
 
 
 def binary_entropy(p):

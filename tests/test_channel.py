@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from reorderchan import (
     entropy_bits,
     row_entropy,
 )
+from reorderchan import channel
 
 
 def test_entropy_bits_basics():
@@ -51,6 +54,65 @@ def test_a_vector_takes_the_matrix_path():
         assert np.array_equal(got, want, equal_nan=True)
     assert np.isnan(h[1]) and not np.isnan(np.delete(h, 1)).any()
     assert str(entropy_bits([0.0, 1.0])) == "0.0"
+
+
+def _masked_entropies(rows):
+    logs = np.zeros_like(rows)
+    np.log2(rows, out=logs, where=rows > 0)
+    return -(rows * logs).sum(axis=-1)
+
+
+def test_chunked_row_entropies_are_bit_exact(monkeypatch):
+    # chunks of one row, rows longer than a chunk, a ragged last chunk, and a
+    # row with a NaN cell; every row's entropy is the one it gets taken whole,
+    # as a vector and in the masked form, byte for byte
+    rng = np.random.default_rng(7)
+    chunks = []
+
+    def spy(p, out=None):
+        chunks.append((len(p), None if out is None else out.size))
+        return row_entropies(p, out)
+
+    row_entropies = channel._row_entropies
+    monkeypatch.setattr(channel, "_row_entropies", spy)
+    for n, width in ((13, 40), (10, 1), (11, 9), (4, 300)):
+        rows = rng.dirichlet(np.ones(width), size=n) * (rng.random((n, width)) < 0.7)
+        rows[n // 2, -1] = np.nan
+        vector = np.array([entropy_bits(row) for row in rows])
+        masked = _masked_entropies(rows)
+        finite = ~np.isnan(masked)
+        for cells in (1, 7, width - 1, width, width + 1, 3 * width):
+            monkeypatch.setattr(channel, "ENTROPY_CELLS", cells)
+            chunks.clear()
+            h = entropy_bits(rows)
+            assert (h + 0.0).tobytes() == vector.tobytes(), (n, width, cells)
+            assert h[finite].tobytes() == masked[finite].tobytes(), (n, width, cells)
+            assert np.isnan(h[~finite]).all()
+            if rows.size > cells:
+                step = max(1, cells // width)
+                assert [c for c, _ in chunks] == [step] * (n // step) + [n % step] * (n % step > 0)
+                assert {size for _, size in chunks} <= {step * width, n % step * width}
+            else:
+                assert chunks == [(n, None)]
+    monkeypatch.setattr(channel, "ENTROPY_CELLS", 1)
+    assert entropy_bits(np.zeros((3, 0))).tobytes() == np.array([-0.0, -0.0, -0.0]).tobytes()
+    assert entropy_bits(np.zeros((0, 5))).shape == (0,)
+    assert entropy_bits(np.zeros((0, 0))).shape == (0,)
+
+
+def test_row_entropies_hold_one_bounded_scratch():
+    # 200 erasure laws over 3^8 outputs take 10.5 MB whole; their terms pass
+    # through at most ENTROPY_CELLS float64 cells, beside the entropies
+    rng = np.random.default_rng(8)
+    rows = rng.dirichlet(np.ones(6561), size=200)
+    tracemalloc.start()
+    try:
+        h = entropy_bits(rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < channel.ENTROPY_CELLS * 8 + h.nbytes, peak
+    assert h.tobytes() == _masked_entropies(rows).tobytes()
 
 
 def test_binary_entropy_values():
