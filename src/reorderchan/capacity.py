@@ -75,13 +75,9 @@ def _mean_noise_entropy(channel, config):
     )
 
 
-def c_xy(channel, config):
-    """Largest I(X;Y) over input laws with the binomial weight-class marginals.
-
-    Attained by spreading each state's mass uniformly over its weight class,
-    which makes the F bits i.i.d. Bernoulli(a); so it equals the outer bound.
-    """
-    return outer_bound(channel, config)
+# the largest I(X;Y) over input laws with the binomial weight-class marginals: spreading
+# each state uniformly over its weight class makes the F bits i.i.d. Bernoulli(a)
+c_xy = outer_bound
 
 
 def _is_staircase_orbit(sset):
@@ -336,23 +332,20 @@ def orbit_channel(channel, config):
     return orbit_sizes, h
 
 
-def blahut_arimoto(W, tol=BA_TOL, max_iter=BA_MAX_ITER, row_const=None, r0=None):
+def blahut_arimoto(W, tol=BA_TOL, max_iter=BA_MAX_ITER):
     """Capacity of a discrete memoryless channel from its row-stochastic matrix.
 
     Alternating maximization over the input law; the spread of the per-row
     information densities brackets the optimum, so iteration stops once
-    max_t D_t - sum_t r_t D_t drops under tol. A lumped channel runs the same
-    iteration by passing row_const, which replaces sum_y W log2 W in D_t,
-    and r0, which replaces the uniform starting law.
+    max_t D_t - sum_t r_t D_t drops under tol.
     """
     W = np.asarray(W, dtype=float)
     # a NaN entry makes its row sum NaN, which fails the row-sum test
     if W.ndim != 2 or np.any(W < 0) or not np.all(np.abs(W.sum(axis=1) - 1.0) <= 1e-9):
         raise ValueError("need a matrix of probability rows")
     n = W.shape[0]
-    if row_const is None:
-        row_const = -entropy_bits(W)
-    r = np.full(n, 1.0 / n) if r0 is None else np.asarray(r0, dtype=float)
+    row_const = -entropy_bits(W)
+    r = np.full(n, 1.0 / n)
     gap = np.inf
     for it in range(1, max_iter + 1):
         q = r @ W
@@ -379,14 +372,14 @@ def oracle_solve(channel, config):
     D_t = F H(u) - H(Y|T=t) = D(W_t || q*), the same on its whole orbit. So
     the capacity is max_t D_t. D_t >= 0, and H(Y|T=t) is at least the mean
     noise entropy, so D_t <= outer_bound: clipping to both moves only rounding.
-    One Blahut-Arimoto step on the lumped channel, started on the best orbit,
-    certifies it: its lower bound sum_t r_t D_t and its upper bound max_t D_t
-    are then the same number, so it returns gap 0.0 after 1 iteration. The
-    result's input_pmf is that one-hot law over map orbits. The call is
-    refused, before the cached partition is read, when `_map_orbits` would
-    pass MAX_TABLE_BYTES at ORBIT_BYTES per S // F!, at most the orbit count
-    since an orbit holds at most F! of the S maps; the orbit laws are held in
-    slab blocks only. That admits every preset through F = 8 and refuses F >= 9.
+    The best density is its own certificate: under the returned input_pmf,
+    the one-hot law over map orbits at the best orbit, the mean density and
+    the largest are the same number, so the result has gap 0.0 and counts 1
+    iteration. The call is refused, before the cached partition is read,
+    when `_map_orbits` would pass MAX_TABLE_BYTES at ORBIT_BYTES per S // F!,
+    at most the orbit count since an orbit holds at most F! of the S maps;
+    the orbit laws are held in slab blocks only. That admits every preset
+    through F = 8 and refuses F >= 9.
     """
     n, limit = strategy_space_size(config.F) // factorial(config.F), frame_space.MAX_TABLE_BYTES
     if n * ORBIT_BYTES > limit:
@@ -394,9 +387,10 @@ def oracle_solve(channel, config):
     _, h = orbit_channel(channel, config)
     outer = outer_bound(channel, config)
     densities = np.clip(outer + _mean_noise_entropy(channel, config) - h, 0.0, outer)
+    k = np.argmax(densities)
     best = np.zeros(len(h))
-    best[np.argmax(densities)] = 1.0
-    return blahut_arimoto(np.ones((len(h), 1)), row_const=densities, r0=best)
+    best[k] = 1.0
+    return BAResult(float(densities[k]), 0.0, 1, tuple(best))
 
 
 def oracle_capacity(channel, config):

@@ -18,13 +18,12 @@ CSV_HEADER = "F,a,p,preset,c_constructed,c_oracle,c_xy,outer_bound,c_errorless"
 
 @dataclass
 class SweepSpec:
-    """Grid of a comparison sweep: one preset, value lists, optional per-packet view."""
+    """Grid of a comparison sweep: one preset and its value lists."""
 
     preset: str
     p_values: list
     a_values: list
     f_values: list
-    normalize: bool = False
 
     def __post_init__(self):
         if not (self.p_values and self.a_values and self.f_values):
@@ -143,10 +142,10 @@ def _cmd_sweep(args):
         p_values=parse_prob_list(args.p),
         a_values=parse_prob_list(args.a),
         f_values=parse_f_values(args.F),
-        normalize=args.per_packet,
     )
-    rows = sweep_rows(grid)
-    text = format_sweep_csv(rows, normalize=grid.normalize)
+    if args.out:  # refuse a bad path before the grid runs; append mode truncates nothing
+        open(args.out, "a").close()
+    text = format_sweep_csv(sweep_rows(grid), normalize=args.per_packet)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

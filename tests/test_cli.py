@@ -286,6 +286,24 @@ def test_sweep_out_file(tmp_path, capsys):
     assert path.read_text() == stdout_text
 
 
+def test_sweep_refuses_a_bad_out_path_before_any_point(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = cli.sweep_point
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "sweep_point", counted)
+    argv = ["sweep", "--preset", "erasure", "--p", "0.2", "--a", "0.5", "--F", "2"]
+    assert run_cli(argv + ["--out", str(tmp_path / "missing" / "x.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+    assert calls == []
+
+
 def test_sweep_per_packet(capsys):
     run_cli(["sweep", "--preset", "erasure", "--p", "0.2", "--a", "0.5", "--F", "2"])
     whole = capsys.readouterr().out.strip().split("\n")[1].split(",")

@@ -53,12 +53,15 @@ def test_traced_simulation_sees_decode_and_trace_file(tmp_path, capsys):
     assert metrics["simulate.trace_bytes"][0] == (tmp_path / "t.csv").stat().st_size
 
 
-def test_traced_oracle_counts_the_printed_iterations(capsys):
+def test_traced_oracle_runs_no_blahut_arimoto(capsys):
     argv = ["oracle", "--preset", "erasure", "--p", "0.2", "--a", "0.5", "--F", "4"]
     metrics = _traced_metrics(argv)
     printed = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
-    # one step certifies the best orbit, and the tracer sees that step
-    assert metrics["capacity.blahut_arimoto.iterations"][0] == int(printed["iterations"]) == 1
+    assert metrics["cli.run_cli.calls"][0] == 1
+    # the best orbit's density is returned as it is, with no solver step behind it
+    assert metrics["capacity.blahut_arimoto.iterations"][0] == 0
+    assert printed["gap"] == "0.000e+00"
+    assert printed["iterations"] == "1"
 
 
 def test_general_op_builds_the_set_its_table_gives(monkeypatch):
