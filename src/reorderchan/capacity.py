@@ -12,10 +12,10 @@ from math import comb, factorial, log2, prod
 
 import numpy as np
 
-from . import frame_space
 from .channel import binary_entropy, channel_preset, entropy_bits, row_entropy
 from .frame_space import (
     FrameConfig,
+    check_table_bytes,
     enumerate_weight_class,
     likelihood_rows,
     mix_states,
@@ -60,7 +60,8 @@ def single_use_mutual_info(channel, a):
     """Information through one packet slot when its input bit is 1 w.p. a."""
     u = (1.0 - a) * np.asarray(channel.q0) + a * np.asarray(channel.q1)
     noise = (1.0 - a) * row_entropy(channel, 0) + a * row_entropy(channel, 1)
-    return entropy_bits(u) - noise
+    v = entropy_bits(u) - noise
+    return v if v > 0.0 else 0.0  # rounding can leave an exact 0 a few ulps below it
 
 
 def outer_bound(channel, config):
@@ -192,11 +193,11 @@ def _checked_report(channel, config, method, rates, h_t):
         raise RuntimeError(f"I(T;Y) = {i_ty!r} or I(X;Y|T) = {i_xy_given_t!r} exceeds I(X;Y)")
     if not i_ty <= h_t + DECOMPOSITION_TOL:
         raise RuntimeError(f"I(T;Y) = {i_ty!r} exceeds H(T) = {h_t!r}")
-    # clip both into [0, max(I(X;Y), 0)] after the checks, -0.0 too, which max(-0.0, 0.0) keeps;
-    # I(T;Y) also under H(T), so one strategy (H(T) = 0) carries exactly 0
-    top = i_xy if i_xy > 0.0 else 0.0
-    i_ty = min(i_ty, top, h_t) if i_ty > 0.0 else 0.0
-    i_xy_given_t = min(i_xy_given_t, top) if i_xy_given_t > 0.0 else 0.0
+    # after the checks, clip I(X;Y) at 0 (-0.0 too, which max(-0.0, 0.0) keeps) and both parts
+    # into [0, I(X;Y)]; I(T;Y) also under H(T), so one strategy (H(T) = 0) carries exactly 0
+    i_xy = i_xy if i_xy > 0.0 else 0.0
+    i_ty = min(i_ty, i_xy, h_t) if i_ty > 0.0 else 0.0
+    i_xy_given_t = min(i_xy_given_t, i_xy) if i_xy_given_t > 0.0 else 0.0
     outer = outer_bound(channel, config)
     return CapacityReport(i_ty, i_xy, i_xy_given_t, c_xy=outer, outer_bound=outer, method=method)
 
@@ -247,7 +248,8 @@ def z_fixed_input_capacity(a, p):
     """Information through one z channel use when the input is 1 w.p. a."""
     if not 0.0 <= a <= 1.0 or not 0.0 <= p <= 1.0:
         raise ValueError("probabilities must be in [0, 1]")
-    return binary_entropy(a * (1.0 - p)) - a * binary_entropy(p)
+    v = binary_entropy(a * (1.0 - p)) - a * binary_entropy(p)
+    return v if v > 0.0 else 0.0
 
 
 def strategy_space_size(F):
@@ -256,7 +258,7 @@ def strategy_space_size(F):
 
 
 class OracleTooLarge(ValueError):
-    """The oracle's orbit partition, or the all-maps table, would pass MAX_TABLE_BYTES."""
+    """The oracle's orbit partition, or the all-maps table, fails `check_table_bytes`."""
 
 
 def _all_maps(F):
@@ -272,14 +274,13 @@ def equivalent_channel_matrix(channel, config):
     """Rows P(y | t) for every strategy map, states mixed by the frame law.
 
     The oracle runs on `orbit_channel`; this full table is its enumerated
-    cross-check. It is refused, before anything is built, on the arrays it
-    allocates at 8 bytes a cell: the 2^F likelihood rows and the mixed table
-    with its scratch, J^F cells a row, and three (F+1)-column copies of the maps.
+    cross-check. `check_table_bytes` takes the arrays it allocates at 8 bytes
+    a cell: the 2^F likelihood rows and the mixed table with its scratch, J^F
+    cells a row, and three (F+1)-column copies of the maps.
     """
     F, S = config.F, strategy_space_size(config.F)
-    cells, limit = ((1 << F) + 2 * S) * channel.J**F + 3 * S * (F + 1), frame_space.MAX_TABLE_BYTES
-    if 8 * cells > limit:
-        raise OracleTooLarge(f"all-maps table needs {cells} cells at 8 bytes, over {limit} bytes")
+    cells = ((1 << F) + 2 * S) * channel.J**F + 3 * S * (F + 1)
+    check_table_bytes(8 * cells, f"all-maps table needs {cells} cells at 8 bytes", OracleTooLarge)
     rows = likelihood_rows(channel, F, list(range(1 << F)))
     return mix_states(rows, _all_maps(F), state_pmf(config))
 
@@ -375,15 +376,14 @@ def oracle_solve(channel, config):
     The best density is its own certificate: under the returned input_pmf,
     the one-hot law over map orbits at the best orbit, the mean density and
     the largest are the same number, so the result has gap 0.0 and counts 1
-    iteration. The call is refused, before the cached partition is read,
-    when `_map_orbits` would pass MAX_TABLE_BYTES at ORBIT_BYTES per S // F!,
-    at most the orbit count since an orbit holds at most F! of the S maps;
-    the orbit laws are held in slab blocks only. That admits every preset
-    through F = 8 and refuses F >= 9.
+    iteration. Before the cached partition is read, `check_table_bytes` takes
+    `_map_orbits` at ORBIT_BYTES per S // F!, at most the orbit count since an
+    orbit holds at most F! of the S maps; the orbit laws are held in slab
+    blocks only. That admits every preset through F = 8 and refuses F >= 9.
     """
-    n, limit = strategy_space_size(config.F) // factorial(config.F), frame_space.MAX_TABLE_BYTES
-    if n * ORBIT_BYTES > limit:
-        raise OracleTooLarge(f"orbit partition needs {n} x {ORBIT_BYTES} bytes, over {limit} bytes")
+    n = strategy_space_size(config.F) // factorial(config.F)
+    need = f"orbit partition needs {n} x {ORBIT_BYTES} bytes"
+    check_table_bytes(n * ORBIT_BYTES, need, OracleTooLarge)
     _, h = orbit_channel(channel, config)
     outer = outer_bound(channel, config)
     densities = np.clip(outer + _mean_noise_entropy(channel, config) - h, 0.0, outer)

@@ -66,6 +66,9 @@ class BinaryInputChannel:
             raise ValueError("output alphabet needs at least two letters")
         if len(labels) != len(q0):
             raise ValueError("need exactly one label per output letter")
+        # a label is written bare into a --trace CSV field
+        if any(c in label for label in labels for c in ',"\r\n'):
+            raise ValueError("output labels must not hold a comma, a quote or a line break")
         # both tests are written so that NaN fails them
         for row in (q0, q1):
             if not all(0.0 <= v <= 1.0 for v in row):

@@ -14,8 +14,7 @@ from math import comb
 import numpy as np
 
 MAX_FRAME_LEN = 20
-# the package's one ceiling, 2 GiB, read at call time by every byte rule: split tables, the
-# oracle's orbit partition and all-maps table, strategy sets, Monte Carlo frames and joint
+# the package's one ceiling, 2 GiB; every byte rule goes through check_table_bytes
 MAX_TABLE_BYTES = 1 << 31
 
 
@@ -32,6 +31,15 @@ def check_frame_len(F):
     if n is None or not 1 <= n <= MAX_FRAME_LEN:
         raise ValueError(f"F must be an integer in 1..{MAX_FRAME_LEN}")
     return n
+
+
+def check_table_bytes(nbytes, need, error=ValueError):
+    """Refuse nbytes over MAX_TABLE_BYTES, read at call time, before anything is built.
+
+    need says what the bytes are for; the refusal reads "{need}, over {MAX_TABLE_BYTES} bytes".
+    """
+    if nbytes > MAX_TABLE_BYTES:
+        raise error(f"{need}, over {MAX_TABLE_BYTES} bytes")
 
 
 @dataclass(frozen=True)
@@ -61,13 +69,6 @@ def weight(x):
 def symbol_string(F, x):
     """Render a frame symbol as a bit string, leftmost position first."""
     return format(x, f"0{F}b")
-
-
-def output_string(F, y, channel):
-    """Render an output symbol with the channel's letter labels."""
-    J = channel.J
-    digits = [(y // J ** (F - 1 - f)) % J for f in range(F)]
-    return "".join(channel.output_labels[d] for d in digits)
 
 
 @functools.cache
@@ -115,14 +116,12 @@ def split_tables(channel, F, pushed_law=False):
     P(y | x) = A[x >> m, y // J^m] * B[x mod 2^m, y mod J^m]. A holds
     (2J)^(F - m) cells and B (2J)^m, whatever rows and columns are read from
     them. With pushed_law, the rule also counts the 2^(F - m) x J^m table of
-    an input law pushed through B, which the caller builds. The cells are
-    refused at 8 bytes a cell, before any table is built, when they would
-    pass MAX_TABLE_BYTES.
+    an input law pushed through B, which the caller builds. The cells go
+    through `check_table_bytes` at 8 bytes a cell.
     """
     m, J = F // 2, channel.J
     cells = (2 * J) ** (F - m) + (2 * J) ** m + (2 ** (F - m) * J**m if pushed_law else 0)
-    if 8 * cells > MAX_TABLE_BYTES:
-        raise ValueError(f"split tables need {cells} cells at 8 bytes, over {MAX_TABLE_BYTES}")
+    check_table_bytes(8 * cells, f"split tables need {cells} cells at 8 bytes")
     q = channel.matrix()
     return m, _prefix_table(q, F - m), _prefix_table(q, m)
 

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import frame_space
 from .capacity import SLAB_CELLS, mutual_info_TY
-from .frame_space import likelihood_rows, mix_states, state_pmf
+from .frame_space import check_table_bytes, likelihood_rows, mix_states, state_pmf
 from .strategy import strategy_table
 
 # Bytes a run may hold per frame. It keeps three arrays of frame length: the
@@ -31,9 +30,8 @@ from .strategy import strategy_table
 # 52 at erasure F = 12 with one strategy and 2e5 frames. The decoder works in
 # blocks of at most SLAB_CELLS posterior cells. The joint histogram grows with the
 # distinct outputs observed, not with the frames, and is sized on its own
-# against the ceiling. The trace writer holds one TRACE_CHUNK of rows.
-# n_frames x FRAME_BYTES above frame_space.MAX_TABLE_BYTES is refused before any
-# draw, and so is a joint histogram of more bytes than that before it is counted.
+# through check_table_bytes. The trace writer holds one TRACE_CHUNK of rows.
+# n_frames x FRAME_BYTES goes through check_table_bytes before any draw.
 FRAME_BYTES = 80
 # noise uniforms drawn per block, whole frames at a time: 512 KiB of float64.
 # Every per-frame stage works in blocks of the same number of frames, or of
@@ -220,7 +218,8 @@ def _plug_in_mi(counts, n_t, n_frames, block):
     The law is counts / n_frames in the counts' own memory. The terms
     p * log2(p / (pt * py)) are taken over the nonzero cells in row-major
     order, block cells at a time, and added by one np.sum, so the bits are
-    those of the same sum over np.nonzero of the whole law.
+    those of the same sum over np.nonzero of the whole law. The sum is a KL
+    divergence, so a rounding below 0 is clipped to 0.
     """
     joint = counts.view(np.float64)
     for lo in range(0, len(counts), block):
@@ -234,7 +233,8 @@ def _plug_in_mi(counts, n_t, n_frames, block):
         ti, yi = np.divmod(nonzero[lo : lo + block], joint.shape[1])
         p_ty = joint[ti, yi]
         terms[lo : lo + block] = p_ty * np.log2(p_ty / (pt[ti] * py[yi]))
-    return float(np.sum(terms))
+    mi = float(np.sum(terms))
+    return mi if mi > 0.0 else 0.0
 
 
 def _four_digits():
@@ -357,9 +357,7 @@ def run_monte_carlo(channel, config, sset, n_frames, seed, trace=None):
         raise ValueError("n_frames must be positive")
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    limit = frame_space.MAX_TABLE_BYTES
-    if n_frames * FRAME_BYTES > limit:
-        raise ValueError(f"{n_frames} frames x {FRAME_BYTES} bytes per frame exceed {limit} bytes")
+    check_table_bytes(n_frames * FRAME_BYTES, f"{n_frames} frames x {FRAME_BYTES} bytes per frame")
     if isinstance(trace, (str, os.PathLike)):
         # a bad path fails here, before the first draw. The rows are written
         # once the run's numbers are known, through a second open, so that the
@@ -381,12 +379,8 @@ def run_monte_carlo(channel, config, sset, n_frames, seed, trace=None):
     # the cells join them; then the counts are overwritten by their float law,
     # and 16 bytes of index and term per nonzero cell and blocks of a fixed
     # size follow. 25 a cell covers either stage with every cell observed
-    cells = n_t * len(uniq_y)
-    if cells * 25 > limit:
-        raise ValueError(
-            f"{n_t} strategies x {len(uniq_y)} observed outputs x 25 bytes per cell "
-            f"exceed {limit} bytes"
-        )
+    need = f"{n_t} strategies x {len(uniq_y)} observed outputs x 25 bytes per cell"
+    check_table_bytes(n_t * len(uniq_y) * 25, need)
     t_hat = _decode_observed(sset, channel, config, pmf_s, used, rep_idx, uniq_y)
     symbol_errors, counts = _count_joint(t_hat, t_draw, y_rank, n_t, block)
     empirical = _plug_in_mi(counts, n_t, n_frames, block)

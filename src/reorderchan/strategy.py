@@ -13,8 +13,13 @@ from math import comb, fsum, lcm
 
 import numpy as np
 
-from . import frame_space
-from .frame_space import check_frame_len, enumerate_weight_class, state_pmf, weight_table
+from .frame_space import (
+    check_frame_len,
+    check_table_bytes,
+    enumerate_weight_class,
+    state_pmf,
+    weight_table,
+)
 from .multisymbol import Multisymbol
 
 PMF_TOL = 1e-12
@@ -23,8 +28,8 @@ PMF_TOL = 1e-12
 # bytes per strategy at F = 12, 925 at F = 14, 1 077 at F = 15 and 300 at F = 16
 # (numpy 2.4); at F = 14 and 15 the graph's F * 2^(F-1) edges outnumber the L
 # strategies fivefold. The built set keeps its (F+1) x 8-byte row and pmf entry.
-# L x STRATEGY_BYTES above frame_space.MAX_TABLE_BYTES is refused before the graph
-# is built: F = 18..20
+# L x STRATEGY_BYTES goes through check_table_bytes before the graph is built,
+# which refuses F = 18..20
 STRATEGY_BYTES = 2048
 
 
@@ -116,15 +121,12 @@ def build_weighted_graph(F):
 
     Per layer, every outgoing weight is the floor or ceil of the average
     m_s / (F - s); the nodes needing a ceil edge on the two sides are matched
-    by a small augmenting-path flow, so the result is deterministic. A set
-    whose L strategies would pass MAX_TABLE_BYTES is refused before any of it
-    is built.
+    by a small augmenting-path flow, so the result is deterministic. The L
+    strategies go through `check_table_bytes` before any of it is built.
     """
-    L, limit = lcm_binomials(F), frame_space.MAX_TABLE_BYTES
-    if L * STRATEGY_BYTES > limit:
-        raise ValueError(
-            f"the F = {F} set of {L} strategies x {STRATEGY_BYTES} bytes exceeds {limit} bytes"
-        )
+    L = lcm_binomials(F)
+    need = f"the F = {F} set of {L} strategies x {STRATEGY_BYTES} bytes"
+    check_table_bytes(L * STRATEGY_BYTES, need)
     layers = tuple(tuple(enumerate_weight_class(F, s)) for s in range(F + 1))
     weights = []
     for s in range(F):

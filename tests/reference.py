@@ -202,6 +202,12 @@ def frame_likelihood(channel, F, x, y, number=float):
     return prob
 
 
+def output_string(F, y, channel):
+    """Render an output symbol with the channel's letter labels, leftmost position first."""
+    J = len(channel.q0)
+    return "".join(channel.output_labels[(y // J ** (F - 1 - f)) % J] for f in range(F))
+
+
 def transmit(channel, F, x, rng):
     """Send one frame symbol; every position draws its letter from its input bit's row."""
     J = len(channel.q0)

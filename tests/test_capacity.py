@@ -249,8 +249,9 @@ def test_equivalent_channel_matrix_limit(monkeypatch):
     ch, cfg = channel_preset("bsc", 0.1), FrameConfig(4, 0.3)
     cells = (16 + 2 * 96) * 16 + 3 * 96 * 5
     monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 8 * cells - 1)
-    with pytest.raises(OracleTooLarge, match=f"all-maps table needs {cells} cells at 8 bytes"):
+    with pytest.raises(OracleTooLarge, match=f"all-maps table needs {cells} cells at 8 bytes") as info:
         equivalent_channel_matrix(ch, cfg)
+    assert str(info.value).endswith(f", over {8 * cells - 1} bytes")
     monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 8 * cells)
     assert equivalent_channel_matrix(ch, cfg).shape == (96, 16)
 
@@ -402,8 +403,9 @@ def test_oracle_solve_refuses_its_orbit_table_in_bytes(monkeypatch):
     # S // F! = 96 // 24 = 4 at F = 4, where 6 orbits exist
     ch, cfg = channel_preset("bsc", 0.1), FrameConfig(4, 0.3)
     monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 4 * ORBIT_BYTES - 1)
-    with pytest.raises(OracleTooLarge, match=f"orbit partition needs 4 x {ORBIT_BYTES} bytes"):
+    with pytest.raises(OracleTooLarge, match=f"orbit partition needs 4 x {ORBIT_BYTES} bytes") as info:
         capacity.oracle_solve(ch, cfg)
+    assert str(info.value).endswith(f", over {4 * ORBIT_BYTES - 1} bytes")
     monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 4 * ORBIT_BYTES)
     assert capacity.oracle_solve(ch, cfg).gap == 0.0
 
@@ -672,6 +674,38 @@ def test_one_strategy_carries_exactly_zero():
                 assert report.i_ty == 0.0, (kind, p, a)
 
 
+EQUAL_ROWS = BinaryInputChannel((0.3, 0.7), (0.3, 0.7), ("0", "1"))
+
+
+def _is_plus_zero(v):
+    return v == 0.0 and np.copysign(1.0, v) == 1.0
+
+
+@pytest.mark.parametrize("F", [1, 2, 3, 4])
+def test_equal_rows_carry_exactly_zero(F):
+    # the output ignores the input, so every rate is an exact 0; rounding left I(X;Y),
+    # the outer bound and the oracle at F x -1.1e-16
+    cfg = FrameConfig(F, 0.2)
+    report = secondary_capacity(EQUAL_ROWS, cfg)
+    stair = StrategySet(np.array([[(1 << s) - 1 for s in range(F + 1)]]), (1.0,))
+    general = mutual_info_TY(EQUAL_ROWS, cfg, stair)
+    values = {
+        "outer_bound": outer_bound(EQUAL_ROWS, cfg),
+        "c_xy": c_xy(EQUAL_ROWS, cfg),
+        "single_use": single_use_mutual_info(EQUAL_ROWS, 0.2),
+        "oracle": capacity.oracle_solve(EQUAL_ROWS, cfg).capacity,
+    }
+    for field in ("i_ty", "i_xy", "i_xy_given_t", "c_xy", "outer_bound"):
+        values[field] = getattr(report, field)
+        values[f"{general.method} {field}"] = getattr(general, field)
+    assert {k: v for k, v in values.items() if not _is_plus_zero(v)} == {}
+
+
+def test_z_fixed_input_capacity_floors_at_zero():
+    # p a ulp under 1 leaves the output all but constant: -3.4e-19 before the floor
+    assert _is_plus_zero(z_fixed_input_capacity(0.37, 1 - 2**-53))
+
+
 def test_split_tables_are_refused_in_bytes_before_they_are_built(monkeypatch):
     # the staircase and its mirror on a four-letter channel at F = 20: A, B and P_x @ B hold
     # 2^30 cells each, about 26 GB; the 2^20 input law the set induces takes 8 MiB of the peak
@@ -688,8 +722,9 @@ def test_split_tables_are_refused_in_bytes_before_they_are_built(monkeypatch):
     # the constructed rate at erasure F = 3 needs 6^2 + 6 + 2^2 x 3 = 54 cells of 8 bytes
     ch, cfg = channel_preset("erasure", 0.2), FrameConfig(3, 0.5)
     monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 8 * 54 - 1)
-    with pytest.raises(ValueError, match="split tables need 54 cells"):
+    with pytest.raises(ValueError, match="split tables need 54 cells") as info:
         secondary_capacity(ch, cfg)
+    assert str(info.value).endswith(f", over {8 * 54 - 1} bytes")
     monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 8 * 54)
     assert secondary_capacity(ch, cfg).method == "constructed"
 

@@ -174,6 +174,15 @@ def test_channel_validation():
         BinaryInputChannel((0.5, 0.5), (0.5, 0.5), ("0", "1", "2"))
 
 
+@pytest.mark.parametrize("bad", ["a,b", 'say "e"', "\r", "e\n"])
+def test_channel_refuses_a_label_that_breaks_a_trace_field(bad):
+    # labels go bare into --trace CSV fields: ("a,b", "c") wrote 7 fields under a 6-field header
+    with pytest.raises(ValueError, match="^output labels must not hold a comma, a quote or a line"):
+        BinaryInputChannel((0.5, 0.5), (0.5, 0.5), (bad, "c"))
+    # an empty label and a NUL still print as fields of their own
+    assert BinaryInputChannel((0.5, 0.5), (0.5, 0.5), ("", "\x00")).output_labels == ("", "\x00")
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_channel_rejects_nonfinite_rows(bad):
     # every comparison with NaN is False, so each check must be written to fail on it

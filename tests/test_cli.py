@@ -363,6 +363,7 @@ def test_oracle_respects_the_byte_budget(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: orbit partition needs 1 x {capacity.ORBIT_BYTES} bytes")
+    assert captured.err.endswith(f", over {capacity.ORBIT_BYTES - 1} bytes\n")
     assert captured.err.count("\n") == 1
     monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", capacity.ORBIT_BYTES)
     assert run_cli(args) == 0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import reference as ref
+from reference import output_string
 from reorderchan import (
     BinaryInputChannel,
     FrameConfig,
@@ -22,7 +23,7 @@ from reorderchan import (
 )
 from reorderchan import frame_space
 from reorderchan.capacity import _all_maps
-from reorderchan.frame_space import mix_states, output_string, symbol_string
+from reorderchan.frame_space import mix_states, symbol_string
 from reorderchan.strategy import strategy_table
 
 
@@ -224,8 +225,9 @@ def test_likelihood_rows_admits_erasure_at_f20_by_the_rule_alone(monkeypatch):
     with pytest.raises(LookupError, match="let the tables through"):
         likelihood_rows(erasure, 20, [0], [0])
     monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 8 * 120_932_352 - 1)
-    with pytest.raises(ValueError, match="split tables need 120932352 cells"):
+    with pytest.raises(ValueError, match="split tables need 120932352 cells") as info:
         likelihood_rows(erasure, 20, [0], [0])
+    assert str(info.value).endswith(f", over {8 * 120_932_352 - 1} bytes")
 
 
 def test_frame_likelihood_values():

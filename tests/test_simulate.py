@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reference import map_decode, transmit
+from reference import map_decode, output_string, transmit
 from reorderchan import (
     BinaryInputChannel,
     FrameConfig,
@@ -20,7 +20,7 @@ from reorderchan import (
 )
 from reorderchan import frame_space, simulate
 from reorderchan.cli import fmt, run_cli
-from reorderchan.frame_space import MAX_TABLE_BYTES, output_string, symbol_string
+from reorderchan.frame_space import MAX_TABLE_BYTES, symbol_string
 from reorderchan.simulate import (
     FRAME_BYTES,
     GUIDE_BUCKETS,
@@ -596,8 +596,9 @@ def test_run_monte_carlo_refuses_oversized_draws():
 def test_draws_read_the_one_ceiling(monkeypatch):
     ch, cfg, n_frames = channel_preset("bsc", 0.1), FrameConfig(4, 0.5), 100
     monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", n_frames * FRAME_BYTES - 1)
-    with pytest.raises(ValueError, match=f"{n_frames} frames x {FRAME_BYTES} bytes"):
+    with pytest.raises(ValueError, match=f"{n_frames} frames x {FRAME_BYTES} bytes") as info:
         run_monte_carlo(ch, cfg, SET4, n_frames, 1)
+    assert str(info.value).endswith(f", over {n_frames * FRAME_BYTES - 1} bytes")
     monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", n_frames * FRAME_BYTES)
     assert run_monte_carlo(ch, cfg, SET4, n_frames, 1).frames == n_frames
 
@@ -672,6 +673,40 @@ def test_run_monte_carlo_refuses_an_oversized_joint(monkeypatch):
     cfg = FrameConfig(F, float(a))
     with pytest.raises(ValueError, match="observed outputs"):
         run_monte_carlo(channel_preset(preset, float(p)), cfg, sset, n_frames, 1)
+
+
+def test_the_joint_rule_refuses_a_byte_over_its_claim(monkeypatch):
+    # the set is built and the frames fit under both ceilings, so the joint's
+    # n_t x observed outputs x 25 bytes alone decides
+    preset, p, a, F, n_frames = JOINT_RUN
+    ch, cfg = channel_preset(preset, float(p)), FrameConfig(F, float(a))
+    sset = decompose_paths(build_weighted_graph(F))
+    rank, observed = simulate._rank_outputs, []
+
+    def spy(*args):
+        uniq_y = rank(*args)
+        observed.append(len(uniq_y))
+        return uniq_y
+
+    monkeypatch.setattr(simulate, "_rank_outputs", spy)
+    want = run_monte_carlo(ch, cfg, sset, n_frames, 1)
+    claim = len(sset) * observed[0] * 25
+    assert claim - 1 >= n_frames * FRAME_BYTES
+    need = f"{len(sset)} strategies x {observed[0]} observed outputs x 25 bytes per cell"
+    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", claim - 1)
+    with pytest.raises(ValueError, match=f"^{need}, over {claim - 1} bytes$"):
+        run_monte_carlo(ch, cfg, sset, n_frames, 1)
+    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", claim)
+    assert run_monte_carlo(ch, cfg, sset, n_frames, 1) == want
+    assert observed == [observed[0]] * 3
+
+
+def test_simulate_cli_prints_an_exact_zero_rate_as_0(capsys):
+    # z at p = 1 reads every frame as all zeros, so the plug-in rate is a KL divergence of 0;
+    # its rounding printed -3.05927231114e-16
+    argv = ["simulate", "--preset", "z", "--p", "1", "--a", "1", "--F", "5"]
+    assert run_cli(argv + ["--frames", "100", "--seed", "1"]) == 0
+    assert "empirical_mi 0\nanalytical_mi 0\n" in capsys.readouterr().out
 
 
 def test_simulate_cli_refuses_an_oversized_joint(monkeypatch, capsys):

@@ -177,8 +177,9 @@ def test_graph_build_refuses_oversized_sets():
 def test_graph_build_reads_the_one_ceiling(monkeypatch):
     # L = 60 at F = 6, so the set needs 122 880 bytes
     monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 60 * STRATEGY_BYTES - 1)
-    with pytest.raises(ValueError, match="the F = 6 set of 60 strategies"):
+    with pytest.raises(ValueError, match="the F = 6 set of 60 strategies") as info:
         build_weighted_graph(6)
+    assert str(info.value).endswith(f", over {60 * STRATEGY_BYTES - 1} bytes")
     monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 60 * STRATEGY_BYTES)
     assert build_weighted_graph(6).F == 6
 
