@@ -11,7 +11,7 @@ from .capacity import errorless_capacity, oracle_solve, secondary_capacity, swee
 from .channel import PRESET_KINDS, channel_preset
 from .frame_space import MAX_FRAME_LEN, FrameConfig, check_frame_len
 from .simulate import TRACE_CHUNK, bit_field, csv_rows, run_monte_carlo
-from .strategy import build_weighted_graph, decompose_paths
+from .strategy import constructed_set
 
 CSV_HEADER = "F,a,p,preset,c_constructed,c_oracle,c_xy,outer_bound,c_errorless"
 
@@ -60,8 +60,7 @@ def parse_prob_list(text):
 
 
 def _cmd_construct(args):
-    check_frame_len(args.F)
-    reps = decompose_paths(build_weighted_graph(args.F)).reps
+    reps = constructed_set(args.F).reps
     # the set sends every F-bit symbol, so each is rendered once and rows gather the names
     names = bit_field(args.F, np.arange(1 << args.F))
     for lo in range(0, len(reps), TRACE_CHUNK):  # bounds the formatted rows held at once
@@ -106,7 +105,7 @@ def _cmd_oracle(args):
 def _cmd_simulate(args):
     ch = channel_preset(args.preset, args.p)
     cfg = FrameConfig(args.F, args.a)
-    sset = decompose_paths(build_weighted_graph(args.F))
+    sset = constructed_set(args.F)
     report = run_monte_carlo(ch, cfg, sset, args.frames, args.seed, trace=args.trace)
     print(f"frames {report.frames}")
     print(f"symbol_errors {report.symbol_errors}")

@@ -92,20 +92,14 @@ def _prefix_table(q, k):
     """The 2^k x J^k table of P(first k letters | first k bits), from q = (2, J) rows.
 
     Level 1 is q itself, since 1.0 * q[b, d] == q[b, d]. Level j+1 is level
-    j times q[b, d], written through the (2^j, 2, J^j, J) view of level j+1:
-    row 2x + b, column J y + d. So every entry is
+    j times q[b, d] in one broadcast product whose (2^j, 2, J^j, J) shape
+    reshapes to row 2x + b, column J y + d. So every entry is
     ((1.0 * q[b_0, d_0]) * q[b_1, d_1]) * ... in position order.
     """
-    J = q.shape[1]
     table = q if k else np.ones((1, 1))
     for _ in range(k - 1):
         nx, ny = table.shape
-        nxt = np.empty((2 * nx, J * ny))
-        view = nxt.reshape(nx, 2, ny, J)
-        for b in range(2):
-            for d in range(J):
-                np.multiply(table, q[b, d], out=view[:, b, :, d])
-        table = nxt
+        table = (table[:, None, :, None] * q[None, :, None, :]).reshape(2 * nx, -1)
     return table
 
 

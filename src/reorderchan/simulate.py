@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import SLAB_CELLS, mutual_info_TY
-from .frame_space import check_table_bytes, likelihood_rows, mix_states, state_pmf
+from .frame_space import check_table_bytes, likelihood_rows, mix_states, split_tables, state_pmf
 from .strategy import strategy_table
 
 # Bytes a run may hold per frame. It keeps three arrays of frame length: the
@@ -27,10 +27,12 @@ from .strategy import strategy_table
 # 34.8 and 44.6 bytes an output on uint16, uint32 and 64-bit outputs. The
 # tracemalloc peak of a whole run of 1e6 frames is 6.3 bytes per frame at
 # z F = 1, 6.0 at bsc F = 8 and 9.6 at erasure F = 7 (numpy 2.4); on the sort,
-# 52 at erasure F = 12 with one strategy and 2e5 frames. The decoder works in
-# blocks of at most SLAB_CELLS posterior cells. The joint histogram grows with the
-# distinct outputs observed, not with the frames, and is sized on its own
-# through check_table_bytes. The trace writer holds one TRACE_CHUNK of rows.
+# 52 at erasure F = 12 with one strategy and 2e5 frames. Either decoder works in
+# blocks of at most SLAB_CELLS posterior cells; the dense one also holds the J^F
+# picks and its gathered suffix rows, under the joint's claim (_decodes_dense).
+# The joint histogram grows with the distinct outputs observed, not with the
+# frames, and is sized on its own through check_table_bytes. The trace writer
+# holds one TRACE_CHUNK of rows.
 # n_frames x FRAME_BYTES goes through check_table_bytes before any draw.
 FRAME_BYTES = 80
 # noise uniforms drawn per block, whole frames at a time: 512 KiB of float64.
@@ -47,6 +49,12 @@ GUIDE_BUCKETS = 1 << 12
 TRACE_CHUNK = 1 << 13
 # posteriors within this relative distance of an output's top count as tied with it
 TIE_RTOL = 1e-12
+# bytes the joint histogram claims per (strategy, observed output) cell; see run_monte_carlo
+JOINT_CELL_BYTES = 25
+# the dense decoder runs once the observed share of the J^F outputs reaches 1/2, or
+# DENSE_FILL times the share of SLAB_CELLS that one prefix row of every strategy
+# fills, whichever is more; see _decodes_dense for the measured crossover
+DENSE_FILL = 1.1
 
 
 @dataclass(frozen=True)
@@ -157,14 +165,34 @@ def _rank_outputs(y, n_outputs, block):
     return np.flatnonzero(seen)
 
 
-def _decode_observed(sset, channel, config, pmf_s, used, rep_idx, uniq_y):
-    """MAP strategy index for each observed output: the smallest index within TIE_RTOL of the top.
+def _map_picks(posterior):
+    """Per column of posterior (strategies x outputs): the smallest row within TIE_RTOL of its top.
 
     The relative TIE_RTOL lets strategies whose posteriors are equal in exact
-    arithmetic tie however the float sums round. used and rep_idx are the
-    set's `strategy_table`. Outputs are decoded in blocks of SLAB_CELLS //
-    (number of strategies) columns, one `likelihood_rows` call each, so no
-    posterior slab passes SLAB_CELLS cells.
+    arithmetic tie however the float sums round. A column whose top is not
+    positive, NaN included, gets -1.
+    """
+    top = posterior.max(axis=0)
+    # argmax of a boolean column is its first True
+    picks = np.argmax(posterior >= top * (1.0 - TIE_RTOL), axis=0)
+    picks[~(top > 0)] = -1
+    return picks
+
+
+def _checked_picks(t_hat):
+    """t_hat, refused when an output got no pick from `_map_picks`."""
+    if np.any(t_hat < 0):
+        raise ValueError("received output has zero probability under every strategy")
+    return t_hat
+
+
+def _decode_observed(sset, channel, config, pmf_s, used, rep_idx, uniq_y):
+    """MAP strategy index for each observed output, by `_map_picks`, from its likelihood rows.
+
+    used and rep_idx are the set's `strategy_table`. Outputs are decoded in
+    blocks of SLAB_CELLS // (number of strategies) columns, one
+    `likelihood_rows` call each, so no posterior slab passes SLAB_CELLS
+    cells. It is the decoder for large sets and sparsely observed outputs.
     """
     pmf_t = sset.pmf[:, None]
     width = max(1, SLAB_CELLS // len(pmf_t))
@@ -173,12 +201,58 @@ def _decode_observed(sset, channel, config, pmf_s, used, rep_idx, uniq_y):
         rows = likelihood_rows(channel, config.F, used, uniq_y[lo : lo + width])
         posterior = mix_states(rows, rep_idx, pmf_s)
         posterior *= pmf_t
-        top = posterior.max(axis=0)
-        if not np.all(top > 0):
-            raise ValueError("received output has zero probability under every strategy")
-        # argmax of a boolean column is its first True
-        t_hat[lo : lo + width] = np.argmax(posterior >= top * (1.0 - TIE_RTOL), axis=0)
-    return t_hat
+        t_hat[lo : lo + width] = _map_picks(posterior)
+    return _checked_picks(t_hat)
+
+
+def _decode_dense(sset, channel, config, pmf_s, uniq_y):
+    """MAP strategy index for each observed output, by `_map_picks`, from one pass over all of Y.
+
+    With `split_tables`' m, A and B, strategy t's posterior over the J^F
+    outputs, as a J^(F-m) x J^m matrix, is (A[pre_t].T * pmf_t[t] pmf_s) @
+    B[suf_t]: the law `capacity._output_entropies` takes, scaled by pmf_t[t].
+    Blocks run over prefix rows of y and hold every strategy, so each
+    output's tie rule sees all L posteriors; a block holds at most SLAB_CELLS
+    cells when L J^m does not pass SLAB_CELLS. Only the observed outputs'
+    picks are checked and kept.
+    """
+    m, A, B = split_tables(channel, config.F)
+    pre, suf = sset.reps >> m, sset.reps & ((1 << m) - 1)
+    n_t, n_pre, width = len(pre), A.shape[1], B.shape[1]
+    span = min(n_pre, max(1, SLAB_CELLS // (n_t * width)))  # prefix rows of y per block
+    b_suf = B[suf]
+    scale = (sset.pmf[:, None] * pmf_s)[:, None, :]  # pmf_t[t] pmf_s[s]
+    block = np.empty(n_t * span * width)
+    t_hat = np.empty(n_pre * width, dtype=np.int64)
+    for lo in range(0, n_pre, span):
+        a = A[:, lo : lo + span]
+        posterior = block[: n_t * a.shape[1] * width].reshape(n_t, a.shape[1], width)
+        np.matmul(a[pre].transpose(0, 2, 1) * scale, b_suf, out=posterior)
+        t_hat[lo * width : (lo + span) * width] = _map_picks(posterior.reshape(n_t, -1))
+    return _checked_picks(t_hat[uniq_y])
+
+
+def _decodes_dense(n_t, F, J, n_observed):
+    """Whether `_decode_dense` decodes a run, from its sizes alone; `_decode_observed` if not.
+
+    The dense decoder costs n_t x J^F posterior cells whatever is observed,
+    the observed one n_t x n_observed. Per cell the dense one took 0.34 to
+    0.45 of the other's time on a 2-vCPU machine at n_t = 60, 105 and 280
+    (erasure F = 6, 7, 8), 0.52 on bsc F = 8, and 0.69 at n_t = 2 520
+    (bsc F = 10), where one prefix row of every strategy fills 62% of
+    SLAB_CELLS and each block is that one row. So it runs once the share of
+    outputs observed reaches 1/2 and DENSE_FILL times that fill. The dense
+    tables that grow with the run, the J^F picks and the gathered suffix
+    rows, must also fit under the joint histogram's claim, which is checked
+    before either decoder runs; its blocks hold at most SLAB_CELLS cells.
+    """
+    width = J ** (F // 2)
+    fill = n_t * width / SLAB_CELLS
+    grows = 8 * (J**F + n_t * (F + 1) * width)
+    return (
+        n_observed >= J**F * max(0.5, DENSE_FILL * fill)
+        and grows <= n_t * n_observed * JOINT_CELL_BYTES
+    )
 
 
 def _count_joint(t_hat, t_draw, y_rank, n_t, block):
@@ -378,10 +452,13 @@ def run_monte_carlo(channel, config, sset, n_frames, seed, trace=None):
     # counted, a key buffer of up to a cell's 8 bytes and one np.bincount of
     # the cells join them; then the counts are overwritten by their float law,
     # and 16 bytes of index and term per nonzero cell and blocks of a fixed
-    # size follow. 25 a cell covers either stage with every cell observed
-    need = f"{n_t} strategies x {len(uniq_y)} observed outputs x 25 bytes per cell"
-    check_table_bytes(n_t * len(uniq_y) * 25, need)
-    t_hat = _decode_observed(sset, channel, config, pmf_s, used, rep_idx, uniq_y)
+    # size follow. JOINT_CELL_BYTES covers either stage with every cell observed
+    need = f"{n_t} strategies x {len(uniq_y)} observed outputs x {JOINT_CELL_BYTES} bytes per cell"
+    check_table_bytes(n_t * len(uniq_y) * JOINT_CELL_BYTES, need)
+    if _decodes_dense(n_t, F, J, len(uniq_y)):
+        t_hat = _decode_dense(sset, channel, config, pmf_s, uniq_y)
+    else:
+        t_hat = _decode_observed(sset, channel, config, pmf_s, used, rep_idx, uniq_y)
     symbol_errors, counts = _count_joint(t_hat, t_draw, y_rank, n_t, block)
     empirical = _plug_in_mi(counts, n_t, n_frames, block)
     del counts  # the joint law, freed before the trace chunks are built

@@ -8,6 +8,7 @@ minimal multisymbols that cover every weight-s symbol the same number of
 times.
 """
 
+import functools
 from dataclasses import dataclass
 from math import comb, fsum, lcm
 
@@ -238,6 +239,22 @@ def decompose_paths(graph):
             raise RuntimeError(f"edge weights at layer {s} do not match the paths reaching it")
         reps[order, s + 1] = np.repeat(dst, w)
     return StrategySet(reps, np.full(L, 1.0 / L))
+
+
+def constructed_set(F):
+    """The constructed set of frame length F, built once per process and then shared.
+
+    Its arrays are read-only, so one object serves every caller. F is made a
+    plain int first, so every integer type finds the same set. A set not yet
+    built goes through `build_weighted_graph`'s byte rule first; a built one
+    stays for the life of the process, about 104 MB at F = 16.
+    """
+    return _built_set(check_frame_len(F))
+
+
+@functools.cache
+def _built_set(F):
+    return decompose_paths(build_weighted_graph(F))
 
 
 def strategy_table(sset):

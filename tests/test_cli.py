@@ -207,6 +207,8 @@ def test_capacity_and_sweep_never_build_the_set(capsys, monkeypatch):
     assert "method constructed" in capsys.readouterr().out.split("\n")
     assert run_cli(["sweep"] + argv + ["--F", "2..4"]) == 0
     assert len(capsys.readouterr().out.strip().split("\n")) == 4
+    # construct builds a set once per process, so the control starts from an empty cache
+    reorderchan.strategy._built_set.cache_clear()
     with pytest.raises(AssertionError, match="built"):
         run_cli(["construct", "3"])
 
@@ -406,6 +408,24 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().split("\n") == ["00,01,11", "00,10,11"]
+
+
+def test_simulate_reuses_one_set_object_per_f(monkeypatch, capsys):
+    sent, run = [], cli.run_monte_carlo
+
+    def spy(channel, config, sset, *args, **kwargs):
+        sent.append(sset)
+        return run(channel, config, sset, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_monte_carlo", spy)
+    argv = ["simulate", "--preset", "bsc", "--p", "0.1", "--a", "0.5", "--frames", "20"]
+    outs = []
+    for F in ("4", "5", "4"):
+        assert run_cli(argv + ["--F", F]) == 0
+        outs.append(capsys.readouterr().out)
+    assert sent[0] is sent[2] is reorderchan.strategy.constructed_set(4)
+    assert sent[1] is reorderchan.strategy.constructed_set(5)
+    assert outs[0] == outs[2]
 
 
 @pytest.mark.parametrize("F", ["0", "21"])

@@ -305,3 +305,28 @@ def test_mix_states_matches_each_strategy_law():
             for row, m in zip(mixed, sset.multisymbols):
                 law = state_pmf(cfg) @ likelihood_rows(ch, sset.F, list(m.reps))
                 assert np.max(np.abs(row - law)) <= 1e-15
+
+
+def _nested_loop_fold(q, k):
+    """The prefix table level by level, one np.multiply per (bit, letter) view slice."""
+    J = q.shape[1]
+    table = q if k else np.ones((1, 1))
+    for _ in range(k - 1):
+        nx, ny = table.shape
+        nxt = np.empty((2 * nx, J * ny))
+        view = nxt.reshape(nx, 2, ny, J)
+        for b in range(2):
+            for d in range(J):
+                np.multiply(table, q[b, d], out=view[:, b, :, d])
+        table = nxt
+    return table
+
+
+@pytest.mark.parametrize("J", [2, 3, 4])
+def test_prefix_table_equals_the_nested_loop_fold_bit_for_bit(J):
+    rng = np.random.default_rng(J)
+    q = rng.dirichlet(np.ones(J), size=2)
+    for k in range(8):
+        got, want = frame_space._prefix_table(q, k), _nested_loop_fold(q, k)
+        assert got.shape == want.shape == (2**k, J**k)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), k

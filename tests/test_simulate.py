@@ -27,7 +27,9 @@ from reorderchan.simulate import (
     NOISE_CHUNK,
     SLAB_CELLS,
     TRACE_CHUNK,
+    _decode_dense,
     _decode_observed,
+    _decodes_dense,
     _digit_field,
     _draw_index,
     _four_digits,
@@ -157,9 +159,12 @@ def test_rank_outputs_equals_np_unique(monkeypatch, J, F):
         )
 
 
-def _decode_all(sset, ch, cfg, ys):
-    used, rep_idx = strategy_table(sset)
+def _decode_all(sset, ch, cfg, ys, dense=False):
+    """Picks of the observed-output decoder, or of the dense law-pass decoder with dense."""
     ys = np.asarray(ys, dtype=np.int64)
+    if dense:
+        return list(_decode_dense(sset, ch, cfg, state_pmf(cfg), ys))
+    used, rep_idx = strategy_table(sset)
     return list(_decode_observed(sset, ch, cfg, state_pmf(cfg), used, rep_idx, ys))
 
 
@@ -182,7 +187,9 @@ def test_map_decode_matches_vectorized_decode(monkeypatch):
         for kind, p in (("erasure", 0.2), ("bsc", 0.2), ("z", 0.2), ("bsc", 0.0)):
             ch = channel_preset(kind, p)
             ys = range(ch.J**4)
-            assert _decode_all(SET4, ch, cfg, ys) == [map_decode(SET4, ch, cfg, y) for y in ys]
+            want = [map_decode(SET4, ch, cfg, y) for y in ys]
+            for dense in (False, True):
+                assert _decode_all(SET4, ch, cfg, ys, dense) == want, (cells, kind, dense)
 
 
 def test_map_decode_tie_goes_to_smallest_index():
@@ -192,8 +199,9 @@ def test_map_decode_tie_goes_to_smallest_index():
     assert map_decode(SET4, ch, cfg, 15) == 0
     erased = channel_preset("erasure", 0.4)
     assert map_decode(SET4, erased, cfg, 3**4 - 1) == 0
-    assert _decode_all(SET4, ch, cfg, [0, 15]) == [0, 0]
-    assert _decode_all(SET4, erased, cfg, [3**4 - 1]) == [0]
+    for dense in (False, True):
+        assert _decode_all(SET4, ch, cfg, [0, 15], dense) == [0, 0]
+        assert _decode_all(SET4, erased, cfg, [3**4 - 1], dense) == [0]
 
 
 def test_decoder_equals_the_exact_map_decoder():
@@ -213,7 +221,8 @@ def test_decoder_equals_the_exact_map_decoder():
     for ch, F, a in cases:
         sset, cfg, ys = sets[F], FrameConfig(F, a), range(ch.J**F)
         want = [map_decode(sset, ch, cfg, y) for y in ys]
-        assert _decode_all(sset, ch, cfg, ys) == want, (ch, F, a)
+        for dense in (False, True):
+            assert _decode_all(sset, ch, cfg, ys, dense) == want, (ch, F, a, dense)
 
 
 def test_map_decode_rejects_impossible_output():
@@ -222,8 +231,85 @@ def test_map_decode_rejects_impossible_output():
     sset = decompose_paths(build_weighted_graph(2))
     with pytest.raises(ValueError):
         map_decode(sset, ch, cfg, 0)
-    with pytest.raises(ValueError):
-        _decode_all(sset, ch, cfg, [0])
+    for dense in (False, True):
+        with pytest.raises(ValueError, match="zero probability"):
+            _decode_all(sset, ch, cfg, [0], dense)
+        # the dense pass meets every impossible output, but refuses only observed ones
+        assert _decode_all(sset, ch, cfg, [8], dense) == [map_decode(sset, ch, cfg, 8)]
+
+
+@pytest.mark.parametrize(
+    ("preset", "F"), [("bsc", 9), ("z", 9), ("bsc", 10), ("z", 10), ("erasure", 8)]
+)
+def test_the_two_decoders_agree_on_every_output(preset, F):
+    # p = 0.5 makes every bsc posterior equal, so its picks rest on the tie rule alone
+    sset = decompose_paths(build_weighted_graph(F))
+    for p in (0.2, 0.5):
+        ch, cfg = channel_preset(preset, p), FrameConfig(F, 0.4)
+        ys = range(ch.J**F)
+        assert _decode_all(sset, ch, cfg, ys, dense=True) == _decode_all(sset, ch, cfg, ys), p
+
+
+def test_dense_blocks_with_a_short_last_block_pick_the_same(monkeypatch):
+    # erasure F = 6: 60 strategies x 27 suffix letters per prefix row of y, 27 rows;
+    # four rows a block leave a last block of three
+    ch, cfg = channel_preset("erasure", 0.2), FrameConfig(6, 0.3)
+    sset = decompose_paths(build_weighted_graph(6))
+    ys = range(3**6)
+    want = _decode_all(sset, ch, cfg, ys, dense=True)
+    for rows in (4, 26, 1):
+        monkeypatch.setattr(simulate, "SLAB_CELLS", 60 * 27 * rows)
+        assert _decode_all(sset, ch, cfg, ys, dense=True) == want, rows
+
+
+def test_the_decoder_choice_turns_on_the_observed_share():
+    # erasure F = 6: the 60 x 27 cells of one prefix row fill 1.2% of SLAB_CELLS,
+    # so half the 729 outputs decide; bsc F = 10: 2 520 x 32 fill 62%, so 68%
+    assert not _decodes_dense(60, 6, 3, 364) and _decodes_dense(60, 6, 3, 365)
+    assert not _decodes_dense(2520, 10, 2, 680) and _decodes_dense(2520, 10, 2, 700)
+    # one prefix row of every strategy must fit in SLAB_CELLS, whatever is observed
+    assert not _decodes_dense(SLAB_CELLS // 27 + 1, 6, 3, 729)
+    # and the picks on either side of the threshold are the exact MAP decoder's
+    ch, cfg = channel_preset("erasure", 0.2), FrameConfig(6, 0.5)
+    sset = decompose_paths(build_weighted_graph(6))
+    order = np.random.default_rng(6).permutation(3**6)
+    for n in (364, 365):
+        ys = np.sort(order[:n])
+        want = [map_decode(sset, ch, cfg, y) for y in ys]
+        for dense in (False, True):
+            assert _decode_all(sset, ch, cfg, ys, dense) == want, (n, dense)
+
+
+@pytest.mark.parametrize(
+    ("preset", "F", "n_frames", "dense"),
+    # 100 frames observe under half of the 256 bsc outputs at F = 8
+    [
+        ("erasure", 6, 20_000, True),
+        ("erasure", 7, 8_000, True),
+        ("z", 8, 5_000, True),
+        ("bsc", 8, 100, False),
+    ],
+)
+def test_a_run_routes_by_the_rule_and_either_decoder_gives_its_bytes(
+    monkeypatch, preset, F, n_frames, dense
+):
+    ch, cfg = channel_preset(preset, 0.2), FrameConfig(F, 0.5)
+    sset = decompose_paths(build_weighted_graph(F))
+    calls, rule = [], simulate._decodes_dense
+
+    def spy(*args):
+        calls.append(rule(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(simulate, "_decodes_dense", spy)
+    runs = []
+    for forced in (None, False, True):
+        if forced is not None:
+            monkeypatch.setattr(simulate, "_decodes_dense", lambda *args, forced=forced: forced)
+        trace = io.StringIO()
+        runs.append((run_monte_carlo(ch, cfg, sset, n_frames, 3, trace=trace), trace.getvalue()))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert calls == [dense]
 
 
 @pytest.mark.parametrize("set_F", [3, 5])

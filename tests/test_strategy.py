@@ -19,12 +19,13 @@ from reorderchan import (
     weight,
 )
 from reference import is_minimal, peel_paths, permutation_orbit
-from reorderchan import frame_space
+from reorderchan import frame_space, strategy
 from reorderchan.capacity import _is_staircase_orbit
 from reorderchan.frame_space import MAX_TABLE_BYTES
 from reorderchan.strategy import (
     STRATEGY_BYTES,
     LayeredGraph,
+    constructed_set,
     covering_successors,
     strategy_table,
 )
@@ -182,6 +183,27 @@ def test_graph_build_reads_the_one_ceiling(monkeypatch):
     assert str(info.value).endswith(f", over {60 * STRATEGY_BYTES - 1} bytes")
     monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 60 * STRATEGY_BYTES)
     assert build_weighted_graph(6).F == 6
+
+
+def test_constructed_set_is_built_once_under_the_ceiling(monkeypatch):
+    strategy._built_set.cache_clear()
+    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 60 * STRATEGY_BYTES - 1)
+    with pytest.raises(ValueError, match="the F = 6 set of 60 strategies"):
+        constructed_set(6)
+    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 60 * STRATEGY_BYTES)
+    sset = constructed_set(6)
+    assert sset.reps.tolist() == decompose_paths(build_weighted_graph(6)).reps.tolist()
+    assert not sset.reps.flags.writeable and not sset.pmf.flags.writeable
+    # a built set is shared, not rebuilt, whatever the ceiling reads later
+    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", 0)
+    assert constructed_set(6) is constructed_set(np.int64(6)) is sset
+    monkeypatch.setattr(frame_space, "MAX_TABLE_BYTES", MAX_TABLE_BYTES)
+    for F in (18, 19, 20):
+        with pytest.raises(ValueError, match=f"{lcm_binomials(F)} strategies"):
+            constructed_set(F)
+    for F in (0, 21, 6.0):
+        with pytest.raises(ValueError, match="F must be an integer"):
+            constructed_set(F)
 
 
 def test_decompose_is_deterministic():

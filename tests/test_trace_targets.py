@@ -41,7 +41,8 @@ def _traced_metrics(argv):
 
 
 def test_traced_simulation_sees_decode_and_trace_file(tmp_path, capsys):
-    argv = ["simulate", "--preset", "bsc", "--p", "0.1", "--a", "0.5", "--F", "3"]
+    # 50 frames observe at most 50 of the 256 outputs, too few for the dense decoder
+    argv = ["simulate", "--preset", "bsc", "--p", "0.1", "--a", "0.5", "--F", "8"]
     metrics = _traced_metrics(argv + ["--frames", "50", "--trace", str(tmp_path / "t.csv")])
     capsys.readouterr()
     assert metrics["cli.run_cli.calls"][0] == 1
@@ -50,6 +51,19 @@ def test_traced_simulation_sees_decode_and_trace_file(tmp_path, capsys):
     rows = (tmp_path / "t.csv").read_text().splitlines()[1:]
     assert metrics["simulate.decode_columns"][0] == len({row.split(",")[4] for row in rows})
     assert metrics["capacity.mutual_info_TY.calls"][0] == 1
+    assert metrics["simulate.trace_bytes"][0] == (tmp_path / "t.csv").stat().st_size
+
+
+def test_traced_dense_simulation_calls_no_likelihood_rows(tmp_path, capsys):
+    # 50 frames observe most of the 8 outputs, so the MAP decode is one law pass
+    # over all of them, from the split tables
+    argv = ["simulate", "--preset", "bsc", "--p", "0.1", "--a", "0.5", "--F", "3"]
+    metrics = _traced_metrics(argv + ["--frames", "50", "--trace", str(tmp_path / "t.csv")])
+    capsys.readouterr()
+    assert metrics["cli.run_cli.calls"][0] == 1
+    assert metrics["simulate.frames"][0] == 50
+    assert metrics["frame_space.likelihood_rows.calls"][0] == 0
+    assert metrics["simulate.decode_columns"][0] == 0
     assert metrics["simulate.trace_bytes"][0] == (tmp_path / "t.csv").stat().st_size
 
 
